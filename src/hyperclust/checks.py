@@ -20,9 +20,10 @@ import random
 from dataclasses import dataclass
 
 from .components import (
-    INFINITE,
     _line_graph_over,
     component_member_unions,
+    connected_components,
+    has_full_part,
     set_name,
     threshold_to_json,
 )
@@ -40,8 +41,8 @@ from .graphs import (
     validate_graph_morphism,
 )
 from .motifs import enumerate_embeddings, expansion_edge_sets
-from .partitions import PartitionedSet, is_refinement
-from .schemes import MotifScheme, cluster, materialize_motifs, scheme_label
+from .partitions import is_refinement
+from .schemes import MotifScheme, cluster, motif_scheme_parts, scheme_label
 
 _CACHE_VERSION = 1
 DEFAULT_GUARD = 2_000_000
@@ -353,12 +354,7 @@ class ClusterCache:
         found = self._parts.get(key)
         if found is None:
             if isinstance(scheme, MotifScheme):
-                motifs = tuple(materialize_motifs(scheme.motifs, graph))
-                sets = self.expansion_sets(motifs, graph)
-                line = _line_graph_over(sets, graph, scheme.min_overlap)
-                found = PartitionedSet(
-                    graph.vertices, component_member_unions(line)
-                )
+                found = motif_scheme_parts(scheme, graph, self.expansion_sets)
             else:
                 found = cluster(scheme, graph)
             self._parts[key] = found
@@ -526,12 +522,6 @@ def check_scheme_equal(first_scheme, second_scheme, corpus, cache=None):
 # ---------------------------------------------------------------------------
 # representation hulls
 
-def _expansion_sets_cached(cache, motifs, graph):
-    if cache is not None:
-        return cache.expansion_sets(motifs, graph)
-    return expansion_edge_sets(motifs, graph)
-
-
 def _corpus_plus(corpus, graph):
     return corpus.with_extra_graphs([graph])
 
@@ -547,13 +537,14 @@ def hull_check(motifs, graph, corpus, cache=None):
     """
     motifs = tuple(motifs)
     extended = motifs + (graph,)
-    sets = _expansion_sets_cached(cache, motifs, graph)
+    cache = cache or ClusterCache()
+    sets = cache.expansion_sets(motifs, graph)
     spanned = frozenset(graph.vertices) in sets
     members = _corpus_plus(corpus, graph)
     differences = []
     for member in members.graphs:
-        base = _expansion_sets_cached(cache, motifs, member)
-        more = _expansion_sets_cached(cache, extended, member)
+        base = cache.expansion_sets(motifs, member)
+        more = cache.expansion_sets(extended, member)
         if base != more:
             entry = _graph_ref(members, member)
             entry["gained_edge_sets"] = sorted(set_name(s) for s in more - base)
@@ -603,13 +594,7 @@ def connected_hull_check(motifs, graph, min_overlap, corpus, cache=None):
             differences.append(entry)
     equal = not differences
     sets = cache.expansion_sets(motifs, graph)
-    if graph.vertices:
-        line = _line_graph_over(sets, graph, min_overlap)
-        connected = frozenset(graph.vertices) in set(
-            component_member_unions(line)
-        )
-    else:
-        connected = False
+    connected = has_full_part(graph.vertices, component_member_unions(sets, min_overlap))
     forward_ok = (not equal) or connected
     reverse_holds = (not connected) or equal
     reverse_asserted = min_overlap == 1
@@ -723,14 +708,6 @@ def _triangle_radius(graph):
     return worst
 
 
-def _expansion_connected_at_one(motifs, graph):
-    sets = expansion_edge_sets(motifs, graph)
-    if not graph.vertices:
-        return False
-    line = _line_graph_over(sets, graph, 1)
-    return frozenset(graph.vertices) in set(component_member_unions(line))
-
-
 def finite_rep_witness(motif_graphs):
     """For triangle-tailed motifs, exhibit the graph their expansions
     cannot reconnect.
@@ -745,9 +722,12 @@ def finite_rep_witness(motif_graphs):
     per_graph = [_triangle_radius(g) for g in motifs]
     radius = max(per_graph)
     witness = triangle_with_tail(radius + 1)
-    blocked = not _expansion_connected_at_one(motifs, witness)
-    connected = _expansion_connected_at_one((witness,), witness)
-    return FiniteRepWitness(radius, witness, blocked, connected, per_graph)
+
+    def spans(motifs):
+        sets = expansion_edge_sets(motifs, witness)
+        return has_full_part(witness.vertices, component_member_unions(sets, 1))
+
+    return FiniteRepWitness(radius, witness, not spans(motifs), spans((witness,)), per_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -805,9 +785,7 @@ class EqualPartsResult:
 def validate_equal_parts_witness(graph):
     """Check that two distinct overlap-2 components both union to the full
     vertex set; returns the transcript or raises."""
-    line = _line_graph_over(graph.edge_sets(), graph, 2)
-    from .components import connected_components
-
+    line = _line_graph_over(graph.edge_sets(), 2)
     comps = connected_components(line.graph)
     full = frozenset(graph.vertices)
     described = []

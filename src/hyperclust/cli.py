@@ -16,7 +16,12 @@ import random
 import sys
 import time
 
-from .components import line_graph, parse_threshold, threshold_to_json
+from .components import (
+    connected_components,
+    line_graph,
+    parse_threshold,
+    threshold_to_json,
+)
 from .graphs import (
     Hypergraph,
     SizeLimitError,
@@ -178,8 +183,6 @@ _DOT_COLORS = (
 
 
 def _line_graph_dot(line):
-    from .components import connected_components
-
     comps = connected_components(line.graph)
     color_of = {}
     for index, comp in enumerate(comps.sorted_parts()):

@@ -1,15 +1,16 @@
-"""Overlap line graphs and the clusterings they induce.
+"""Overlap percolation: the components of "shares at least k elements".
 
-The line graph at threshold k has one vertex per distinct edge vertex set
-of the origin hypergraph (parallel edges collapse to a single vertex) and
-joins two of them when they overlap in at least k vertices.  Unioning each
-connected component's member sets yields the overlap clustering; vertices
-on no edge end up in no part.
+``percolate`` is the one kernel.  It groups a family of sets into the
+components of the k-overlap relation without ever comparing two sets that
+share no element.  Unioning each component's member sets yields the overlap
+clustering; vertices on no edge end up in no part.  The named line graph,
+with one vertex per distinct edge vertex set, is built only for display.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .graphs import Hypergraph
 from .partitions import PartitionedSet
@@ -51,7 +52,7 @@ def set_name(members):
 
 
 class LineGraph:
-    """A simple graph over distinct edge vertex sets of an origin graph.
+    """A simple graph over distinct vertex sets, built for display.
 
     ``graph`` is the simple graph itself (vertices named via set_name),
     ``members`` maps each line vertex back to the set it stands for, and
@@ -59,11 +60,10 @@ class LineGraph:
     shared-edge scheme.
     """
 
-    __slots__ = ("graph", "origin", "members", "labels")
+    __slots__ = ("graph", "members", "labels")
 
-    def __init__(self, graph, origin, members, labels=None):
+    def __init__(self, graph, members, labels=None):
         self.graph = graph
-        self.origin = origin
         self.members = members
         self.labels = labels
 
@@ -74,18 +74,80 @@ class LineGraph:
         )
 
 
-def _line_graph_over(sets, origin, min_overlap, labels=None):
+def _overlap_pairs(sets, k):
+    """Yield ``(j, i)``, ``j < i``, for the sets sharing at least ``k`` elements;
+    sets that share no element are never compared."""
+    holders = {}
+    for i, s in enumerate(sets):
+        shared = Counter()
+        for x in s:
+            held = holders.setdefault(x, [])
+            shared.update(held)
+            held.append(i)
+        for j, count in shared.items():
+            if count >= k:
+                yield j, i
+
+
+def percolate(sets, k):
+    """Components of the k-overlap relation on ``sets``, as lists of indices
+    into ``sets``.  Two sets are related when they share at least ``k``
+    elements; at threshold infinity every set is its own component."""
+    k = check_threshold(k)
+    parent = list(range(len(sets)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    if k == 1:
+        # Joining each set to the first holder of each of its elements
+        # connects exactly the sets that share an element.
+        first = {}
+        pairs = ((first.setdefault(x, i), i) for i, s in enumerate(sets) for x in s)
+    elif k != INFINITE:
+        pairs = _overlap_pairs(sets, k)
+    else:
+        pairs = ()
+    for j, i in pairs:
+        parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(sets)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def component_member_unions(sets, k, labels=None):
+    """Union the member sets across each k-overlap component of ``sets``,
+    with overlap measured on ``labels[s]`` in place of ``s`` when given."""
+    sets = list(sets)
+    compared = sets if labels is None else [labels[s] for s in sets]
+    return [frozenset().union(*(sets[i] for i in comp)) for comp in percolate(compared, k)]
+
+
+def has_full_part(vertices, parts):
+    """Whether some part is the whole vertex set; never for no vertices."""
+    full = frozenset(vertices)
+    return bool(full) and full in parts
+
+
+def _line_graph_over(sets, min_overlap, labels=None):
+    # The line graph with set_name vertices; overlap on ``labels`` when given.
     k = check_threshold(min_overlap)
-    members = {set_name(s): s for s in sets}
+    members = {}
+    for s in sets:
+        if members.setdefault(set_name(s), s) != s:
+            raise ValueError(f"two distinct vertex sets are both named {set_name(s)}")
     names = sorted(members)
+    compared = [members[n] if labels is None else labels[members[n]] for n in names]
     edges = {}
     if k != INFINITE:
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                if len(members[a] & members[b]) >= k:
-                    edges[f"{a}~{b}"] = frozenset((a, b))
-    graph = Hypergraph(names, edges)
-    return LineGraph(graph, origin, members, labels)
+        for j, i in _overlap_pairs(compared, k):
+            edges[f"{names[j]}~{names[i]}"] = frozenset((names[j], names[i]))
+    named_labels = None if labels is None else dict(zip(names, map(frozenset, compared)))
+    return LineGraph(Hypergraph(names, edges), members, named_labels)
 
 
 def line_graph(graph, min_overlap):
@@ -95,7 +157,14 @@ def line_graph(graph, min_overlap):
     result has no edges.  On a simple graph at threshold 1 this is the
     classical line graph.
     """
-    return _line_graph_over(graph.edge_sets(), graph, min_overlap)
+    return _line_graph_over(graph.edge_sets(), min_overlap)
+
+
+def vertex_components(vertices, sets):
+    """Components of ``vertices`` joined through ``sets``; a vertex on no set
+    is a singleton component."""
+    singletons = [frozenset((v,)) for v in vertices]
+    return component_member_unions(list(sets) + singletons, 1)
 
 
 def connected_components(graph):
@@ -103,32 +172,7 @@ def connected_components(graph):
     become singleton parts, so every vertex lands in exactly one part."""
     if not graph.is_simple():
         raise ValueError("connected_components requires a simple graph")
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s in graph.edges.values():
-        u, w = sorted(s)
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-    groups = {}
-    for v in graph.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return PartitionedSet(graph.vertices, groups.values())
-
-
-def component_member_unions(line):
-    """Union the member sets across each component of a line graph."""
-    comps = connected_components(line.graph)
-    parts = []
-    for comp in comps.parts:
-        parts.append(frozenset().union(*(line.members[name] for name in comp)))
-    return parts
+    return PartitionedSet(graph.vertices, vertex_components(graph.vertices, graph.edges.values()))
 
 
 def overlap_components(graph, min_overlap):
@@ -136,17 +180,13 @@ def overlap_components(graph, min_overlap):
     line graph at the given threshold, each part the union of its component's
     edge sets.  Underlying set is the full vertex set; vertices on no edge
     appear in no part."""
-    line = line_graph(graph, min_overlap)
-    return PartitionedSet(graph.vertices, component_member_unions(line))
+    return PartitionedSet(graph.vertices, component_member_unions(graph.edge_sets(), min_overlap))
 
 
 def is_overlap_connected(graph, min_overlap):
     """Whether the overlap clustering has a part equal to the whole vertex
     set.  False for the empty graph, which has no parts at all."""
-    if not graph.vertices:
-        return False
-    full = frozenset(graph.vertices)
-    return full in overlap_components(graph, min_overlap).parts
+    return has_full_part(graph.vertices, overlap_components(graph, min_overlap).parts)
 
 
 def edge_set_parts(graph):

@@ -13,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .components import (
-    LineGraph,
     _line_graph_over,
     check_threshold,
     component_member_unions,
     connected_components,
-    is_overlap_connected,
+    has_full_part,
     parse_threshold,
-    set_name,
     threshold_to_json,
+    vertex_components,
 )
 from .graphs import (
     Hypergraph,
@@ -111,6 +110,18 @@ def materialize_motifs(entries, graph):
 # ---------------------------------------------------------------------------
 # shared-edge scheme
 
+def _shared_edge_labels(motif, graph):
+    # Distinct embedding image -> the image vertex sets of the motif's edges,
+    # collected across all embeddings with that image.
+    span = frozenset(motif.vertices)
+    labels = {}
+    for emb in enumerate_embeddings(motif, graph):
+        bag = labels.setdefault(emb.image(span), set())
+        for s in motif.edges.values():
+            bag.add(emb.image(s))
+    return labels
+
+
 def shared_edge_graph(motif, graph):
     """The labelled copy graph behind the shared-edge scheme.
 
@@ -119,29 +130,13 @@ def shared_edge_graph(motif, graph):
     vertex sets of the motif's edges.  Two copies are joined exactly when
     their label sets intersect, i.e. when they share a full edge image.
     """
-    embeddings = enumerate_embeddings(motif, graph)
-    span = frozenset(motif.vertices)
-    labels = {}
-    for emb in embeddings:
-        image = emb.image(span)
-        bag = labels.setdefault(image, set())
-        for s in motif.edges.values():
-            bag.add(emb.image(s))
-    images = sorted(labels, key=lambda s: tuple(sorted(s)))
-    named_labels = {set_name(s): frozenset(labels[s]) for s in images}
-    members = {set_name(s): s for s in images}
-    names = sorted(members)
-    edges = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if named_labels[a] & named_labels[b]:
-                edges[f"{a}~{b}"] = frozenset((a, b))
-    return LineGraph(Hypergraph(names, edges), graph, members, named_labels)
+    labels = _shared_edge_labels(motif, graph)
+    return _line_graph_over(labels, 1, labels)
 
 
 def _shared_edge_parts(motif, graph):
-    line = shared_edge_graph(motif, graph)
-    return PartitionedSet(graph.vertices, component_member_unions(line))
+    labels = _shared_edge_labels(motif, graph)
+    return PartitionedSet(graph.vertices, component_member_unions(labels, 1, labels))
 
 
 def validate_shared_edge_motif(motif):
@@ -188,13 +183,8 @@ def validate_shared_edge_motif(motif):
                 f"corner-glued pair should split into two maximal parts, "
                 f"found {len(parts.parts)}"
             )
-        if not is_overlap_connected(
-            Hypergraph._make(
-                corner.vertices,
-                {set_name(s): s for s in expansion_edge_sets([motif], corner)},
-            ),
-            3,
-        ):
+        sets = expansion_edge_sets([motif], corner)
+        if not has_full_part(corner.vertices, component_member_unions(sets, 3)):
             bad.append("motif expansion of the corner-glued pair is not 3-connected")
     return Validation(bad)
 
@@ -217,24 +207,8 @@ def _singletons(graph):
 def _pair_components(graph):
     # Connectivity through 2-vertex edges only; smaller edges keep their
     # vertices in place but do not join anything.
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s in graph.edges.values():
-        if len(s) == 2:
-            u, w = sorted(s)
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
-    groups = {}
-    for v in graph.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return list(groups.values())
+    pairs = [s for s in graph.edges.values() if len(s) == 2]
+    return vertex_components(graph.vertices, pairs)
 
 
 def _is_pair_like(graph):
@@ -294,6 +268,14 @@ def toy_cluster(rule, graph):
 # ---------------------------------------------------------------------------
 # evaluation and serialization
 
+def motif_scheme_parts(scheme, graph, expand):
+    """Evaluate a MotifScheme, with ``expand(motifs, graph)`` giving the
+    distinct edge vertex sets of the expansion."""
+    motifs = tuple(materialize_motifs(scheme.motifs, graph))
+    sets = expand(motifs, graph)
+    return PartitionedSet(graph.vertices, component_member_unions(sets, scheme.min_overlap))
+
+
 def cluster(scheme, graph):
     """Apply a scheme to a hypergraph.
 
@@ -301,10 +283,7 @@ def cluster(scheme, graph):
     vertices get covered by parts is up to the scheme.
     """
     if isinstance(scheme, MotifScheme):
-        motifs = materialize_motifs(scheme.motifs, graph)
-        sets = expansion_edge_sets(motifs, graph)
-        line = _line_graph_over(sets, graph, scheme.min_overlap)
-        return PartitionedSet(graph.vertices, component_member_unions(line))
+        return motif_scheme_parts(scheme, graph, expansion_edge_sets)
     if isinstance(scheme, SharedEdgeScheme):
         return _shared_edge_parts(scheme.motif, graph)
     if isinstance(scheme, ComponentScheme):

@@ -83,10 +83,9 @@ def naive_acyclic_profile(graph):
     return profile
 
 
-def naive_overlap_parts(graph, k):
-    """Union-of-component parts computed straight from the definition,
-    with a plain BFS over distinct edge vertex sets."""
-    sets = sorted(graph.edge_sets(), key=lambda s: tuple(sorted(s)))
+def _bfs_unions(sets, joined):
+    """Unions of the components of ``joined`` over ``sets``, by a plain BFS
+    that tests every pair."""
     unseen = set(range(len(sets)))
     parts = set()
     while unseen:
@@ -97,9 +96,37 @@ def naive_overlap_parts(graph, k):
         while queue:
             current = queue.pop()
             for other in list(unseen):
-                if k != float("inf") and len(sets[current] & sets[other]) >= k:
+                if joined(current, other):
                     unseen.discard(other)
                     queue.append(other)
                     component.add(other)
         parts.add(frozenset().union(*(sets[i] for i in component)))
     return parts
+
+
+def naive_overlap_parts(family, k):
+    """Union-of-component parts computed straight from the definition over
+    the distinct sets of ``family``: a hypergraph's edge vertex sets, or any
+    iterable of sets."""
+    if hasattr(family, "edge_sets"):
+        family = family.edge_sets()
+    sets = sorted({frozenset(s) for s in family}, key=lambda s: tuple(sorted(s)))
+    return _bfs_unions(
+        sets,
+        lambda a, b: k != float("inf") and len(sets[a] & sets[b]) >= k,
+    )
+
+
+def naive_shared_edge_parts(motif, graph):
+    """Shared-edge parts from the definition: one copy per distinct image of
+    an embedding, labelled with its edge images; copies whose labels meet
+    are joined."""
+    labels = {}
+    for mapping in naive_embeddings(motif, graph):
+        bag = labels.setdefault(frozenset(mapping.values()), set())
+        for s in motif.edges.values():
+            bag.add(frozenset(mapping[v] for v in s))
+    images = sorted(labels, key=lambda s: tuple(sorted(s)))
+    return _bfs_unions(
+        images, lambda a, b: bool(labels[images[a]] & labels[images[b]])
+    )

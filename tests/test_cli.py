@@ -14,6 +14,7 @@ from hyperclust.cli import (
 )
 from hyperclust.components import INFINITE
 from hyperclust.graphs import (
+    Hypergraph,
     complete_graph,
     hypergraph_to_json,
     linear_triangle,
@@ -40,6 +41,14 @@ SMALL = [
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path / "cache"))
+
+
+def name_clash_file(tmp_path):
+    # {"a,b", "c"} and {"a", "b", "c"} both print as the set name "{a,b,c}".
+    target = tmp_path / "clash.json"
+    graph = Hypergraph(["a", "b", "c", "a,b"], {"e1": ("a,b", "c"), "e2": "abc"})
+    target.write_text(json.dumps(hypergraph_to_json(graph)))
+    return str(target)
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +154,18 @@ class TestCluster:
         assert out == ""
         assert json.loads(target.read_text())["parts"] == [["v1", "v2"]]
 
+    def test_vertex_names_may_contain_commas(self, capsys, tmp_path):
+        graph = name_clash_file(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "cluster", graph, "--scheme", "representable:{E*},k=inf"
+        )
+        assert code == 0
+        assert json.loads(out)["parts"] == [["a", "b", "c"], ["a,b", "c"]]
+        _, out, _ = run_cli(
+            capsys, "cluster", graph, "--scheme", "representable:{E*},k=1"
+        )
+        assert json.loads(out)["parts"] == [["a", "a,b", "b", "c"]]
+
     def test_classic_scheme_rejects_hypergraphs(self, capsys):
         code, _, err = run_cli(capsys, "cluster", "E_3", "--scheme", "classic")
         assert code == 2
@@ -188,6 +209,14 @@ class TestLinegraph:
         assert code == 0
         assert data["k"] == "inf"
         assert data["edges"] == []
+
+    def test_ambiguous_set_names_are_refused(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "linegraph", name_clash_file(tmp_path), "--k", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "{a,b,c}" in err
 
     def test_dot_export_colors_components(self, capsys, tmp_path):
         dot_path = tmp_path / "line.dot"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperclust.graphs import (
@@ -19,15 +19,19 @@ from hyperclust.components import (
     line_graph,
     overlap_components,
     parse_threshold,
+    percolate,
     set_name,
     threshold_to_json,
 )
 from hyperclust.partitions import PartitionedSet, is_non_overlapping
 
 import oracles
-from test_graphs import hypergraphs, simple_graphs
+from test_graphs import COMMA_NAMES, hypergraphs, simple_graphs
 
 thresholds = st.sampled_from([1, 2, 3, INFINITE])
+# Distinct edges that set_name maps to the same "{a,b,c}".
+NAME_CLASH = Hypergraph(["a", "b", "c", "a,b"], {"e1": ("a,b", "c"), "e2": "abc"})
+set_families = st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=5), max_size=8)
 
 
 class TestThreshold:
@@ -84,6 +88,22 @@ class TestLineGraph:
         assert len(line.graph.edges) == 1
 
 
+class TestPercolate:
+    def test_threshold_picks_the_relation(self):
+        sets = [frozenset("abc"), frozenset("bcd"), frozenset("de"), frozenset()]
+        assert sorted(percolate(sets, 1)) == [[0, 1, 2], [3]]
+        assert sorted(percolate(sets, 2)) == [[0, 1], [2], [3]]
+        assert sorted(percolate(sets, INFINITE)) == [[0], [1], [2], [3]]
+
+    @given(set_families, thresholds)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_oracle(self, sets, k):
+        comps = percolate(sets, k)
+        assert sorted(i for comp in comps for i in comp) == list(range(len(sets)))
+        unions = {frozenset().union(*(sets[i] for i in comp)) for comp in comps}
+        assert unions == oracles.naive_overlap_parts(sets, k)
+
+
 class TestComponents:
     def test_isolated_vertices_are_singletons(self):
         g = Hypergraph("abc", {"e1": "ab"})
@@ -134,7 +154,9 @@ class TestOverlapComponents:
     def test_edgeless_graph_has_no_parts(self):
         assert overlap_components(Hypergraph("ab"), 1).parts == frozenset()
 
-    @given(hypergraphs(), thresholds)
+    @given(hypergraphs(pool=COMMA_NAMES), thresholds)
+    @example(NAME_CLASH, 1)
+    @example(NAME_CLASH, INFINITE)
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_oracle(self, g, k):
         assert overlap_components(g, k).parts == oracles.naive_overlap_parts(g, k)
@@ -152,7 +174,8 @@ class TestOverlapComponents:
     def test_threshold_one_is_non_overlapping(self, g):
         assert is_non_overlapping(overlap_components(g, 1))
 
-    @given(hypergraphs())
+    @given(hypergraphs(pool=COMMA_NAMES))
+    @example(NAME_CLASH)
     @settings(max_examples=60, deadline=None)
     def test_infinite_threshold_is_edge_set_parts(self, g):
         assert overlap_components(g, INFINITE) == edge_set_parts(g)

@@ -42,10 +42,19 @@ from hyperclust.graphs import (
 import oracles
 
 
+# Opt-in vertex names, all used, containing the separator of set_name: the
+# distinct sets {"a,b", "c"} and {"a", "b", "c"} get the same name.
+COMMA_NAMES = ("a", "b", "c", "a,b")
+
+
 @st.composite
-def hypergraphs(draw, max_vertices=5, max_edges=4, max_edge_size=4):
-    n = draw(st.integers(0, max_vertices))
-    names = [f"v{i}" for i in range(1, n + 1)]
+def hypergraphs(draw, max_vertices=5, max_edges=4, max_edge_size=4, pool=None):
+    if pool is None:
+        n = draw(st.integers(0, max_vertices))
+        names = [f"v{i}" for i in range(1, n + 1)]
+    else:
+        names = sorted(pool)
+        n = len(names)
     edges = {}
     if names:
         count = draw(st.integers(0, max_edges))

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperclust.graphs import (
     Hypergraph,
@@ -33,6 +34,7 @@ from hyperclust.schemes import (
     validate_shared_edge_motif,
 )
 
+import oracles
 from test_components import thresholds
 from test_graphs import hypergraphs, simple_graphs
 
@@ -177,6 +179,26 @@ class TestSharedEdgeScheme:
     def test_validation_rejects_triangle(self):
         report = validate_shared_edge_motif(complete_graph(3))
         assert not report.ok
+
+    @pytest.mark.parametrize(
+        "motif",
+        [linear_triangle(), complete_graph(3), path(3)],
+        ids=["linear_triangle", "K_3", "P_3"],
+    )
+    @given(
+        g=st.one_of(
+            simple_graphs(), hypergraphs(max_vertices=6, max_edges=8, max_edge_size=3)
+        )
+    )
+    # two triangles sharing one vertex but no edge
+    @example(g=Hypergraph("abcde", dict(zip("pqrstu", ["ab", "bc", "ac", "cd", "de", "ce"]))))
+    @example(g=linear_triangle())
+    @example(g=corner_glued_pair(linear_triangle()))
+    @example(g=edge_glued_chain(linear_triangle(), 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_oracle(self, motif, g):
+        parts = cluster(SharedEdgeScheme(motif), g).parts
+        assert parts == oracles.naive_shared_edge_parts(motif, g)
 
 
 class TestComponentScheme:
