@@ -9,6 +9,7 @@ bench output contains wall times, which are exempt from that guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,16 +26,19 @@ from .components import (
 from .graphs import (
     Hypergraph,
     SizeLimitError,
+    _pair_graph,
     build_named,
     hypergraph_from_json,
     hypergraph_to_json,
     linear_triangle,
+    path,
     random_degenerate_graph,
     validate_hypergraph,
 )
 from .motifs import BudgetExceededError, enumerate_embeddings, motif_expansion
 from .partitions import clustering_to_json, remove_spurious
 from .checks import (
+    CheckReport,
     ClusterCache,
     Corpus,
     CorpusBounds,
@@ -58,7 +62,6 @@ from .schemes import (
     ToyScheme,
     cluster,
     scheme_from_json,
-    scheme_label,
     scheme_to_json,
 )
 
@@ -227,71 +230,49 @@ def _corpus_bounds(args):
     )
 
 
-def _chunk_report(task):
-    kind, payload = task
+def _graph_check(kind, schemes, corpus, cache=None):
+    # Looks the checks up as module globals at call time, so a wrapper
+    # installed on ``cli.check_excisive`` or ``cli.check_refines`` sees the
+    # serial run and every worker alike.
     if kind == "excisive":
-        scheme, corpus = payload
-        return check_excisive(scheme, corpus)
-    if kind == "functorial":
-        scheme, corpus = payload
-        return check_functorial(scheme, corpus)
+        return check_excisive(*schemes, corpus, cache)
     if kind == "refines":
-        finer, coarser, corpus = payload
-        return check_refines(finer, coarser, corpus)
-    scheme_a, scheme_b, corpus = payload
-    return check_scheme_equal(scheme_a, scheme_b, corpus)
-
-
-def _merge_reports(check, schemes, reports, graphs_total, morphisms_total):
-    statistics = {"graphs": graphs_total}
-    counterexamples = []
-    passed = True
-    parts = 0
-    has_parts = False
-    for report in reports:
-        passed = passed and report.passed
-        counterexamples.extend(report.counterexamples)
-        if "parts_checked" in report.statistics:
-            has_parts = True
-            parts += report.statistics["parts_checked"]
-    if has_parts:
-        statistics["parts_checked"] = parts
-    if check == "functorial":
-        statistics["morphisms"] = morphisms_total
-    statistics["failures"] = len(counterexamples)
-    from .checks import CheckReport
-
-    return CheckReport(check, schemes, passed, statistics, counterexamples)
+        return check_refines(*schemes, corpus, cache)
+    return check_scheme_equal(*schemes, corpus, cache)
 
 
 def _parallel_check(kind, schemes, corpus, jobs):
     import concurrent.futures
     import multiprocessing
 
-    if kind == "functorial":
-        items = corpus.morphisms
-    else:
-        items = corpus.graphs
-    size = max(1, math.ceil(len(items) / jobs))
-    tasks = []
-    for start in range(0, len(items), size):
-        block = items[start:start + size]
-        if kind == "functorial":
-            chunk = Corpus(corpus.bounds, corpus.graphs, block)
-        else:
-            chunk = Corpus(corpus.bounds, block, (), id_base=start)
-        tasks.append((kind, tuple(schemes) + (chunk,)))
+    graphs = corpus.graphs
+    size = max(1, math.ceil(len(graphs) / jobs))
+    # At least one chunk, so an empty corpus still gives a report.
+    chunks = [
+        Corpus(corpus.bounds, graphs[start:start + size], (), id_base=start)
+        for start in range(0, max(1, len(graphs)), size)
+    ]
     context = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, mp_context=context
+        max_workers=len(chunks), mp_context=context
     ) as pool:
-        reports = list(pool.map(_chunk_report, tasks))
-    return _merge_reports(
+        reports = list(
+            pool.map(functools.partial(_graph_check, kind, schemes), chunks)
+        )
+    # The graph-quantified checks loop over corpus graphs only, and each of
+    # their statistics counts something per graph (graphs, parts checked,
+    # failures).  The chunks split the graph list, so the corpus-wide
+    # statistics are the chunks' sums.
+    statistics = {
+        key: sum(report.statistics[key] for report in reports)
+        for key in reports[0].statistics
+    }
+    return CheckReport(
         kind,
-        [scheme_label(s) for s in schemes],
-        reports,
-        len(corpus.graphs),
-        len(corpus.morphisms),
+        reports[0].schemes,
+        all(report.passed for report in reports),
+        statistics,
+        [entry for report in reports for entry in report.counterexamples],
     )
 
 
@@ -304,6 +285,13 @@ def run_check(args):
             f"unknown property {args.property!r}; choose from "
             f"{', '.join(_CHECK_NAMES)}"
         )
+    prop = args.property
+    if prop == "functorial" and args.extra:
+        raise ValueError(
+            "functorial quantifies over corpus morphisms, and --extra "
+            "graphs join the corpus with none, so no checked morphism would "
+            "touch them"
+        )
     bounds = _corpus_bounds(args)
     corpus = generate_corpus(bounds, use_cache=not args.no_cache)
     if args.extra:
@@ -311,7 +299,6 @@ def run_check(args):
             [parse_graph_arg(t) for t in args.extra]
         )
     cache = ClusterCache()
-    prop = args.property
     if prop in ("hull", "connected-hull"):
         if not args.motifs or not args.graph:
             raise ValueError(f"{prop} needs --motifs and --graph")
@@ -327,27 +314,26 @@ def run_check(args):
             report = connected_hull_check(motifs, graph, k, corpus, cache)
         else:
             report = hull_check(motifs, graph, corpus, cache)
-    elif prop in ("refines", "equal"):
-        if not args.scheme or not args.scheme2:
-            raise ValueError(f"{prop} needs --scheme and --scheme2")
-        first = parse_scheme_spec(args.scheme)
-        second = parse_scheme_spec(args.scheme2)
-        if args.jobs > 1:
-            report = _parallel_check(prop, (first, second), corpus, args.jobs)
-        elif prop == "refines":
-            report = check_refines(first, second, corpus, cache)
-        else:
-            report = check_scheme_equal(first, second, corpus, cache)
     else:
-        if not args.scheme:
-            raise ValueError(f"{prop} needs --scheme")
-        scheme = parse_scheme_spec(args.scheme)
-        if args.jobs > 1:
-            report = _parallel_check(prop, (scheme,), corpus, args.jobs)
-        elif prop == "excisive":
-            report = check_excisive(scheme, corpus, cache)
+        if prop in ("refines", "equal"):
+            if not args.scheme or not args.scheme2:
+                raise ValueError(f"{prop} needs --scheme and --scheme2")
+            schemes = (
+                parse_scheme_spec(args.scheme),
+                parse_scheme_spec(args.scheme2),
+            )
         else:
-            report = check_functorial(scheme, corpus, cache)
+            if not args.scheme:
+                raise ValueError(f"{prop} needs --scheme")
+            schemes = (parse_scheme_spec(args.scheme),)
+        if prop == "functorial":
+            # Always serial: splitting the morphism list over workers
+            # measured slower than this loop on the default corpus.
+            report = check_functorial(*schemes, corpus, cache)
+        elif args.jobs > 1:
+            report = _parallel_check(prop, schemes, corpus, args.jobs)
+        else:
+            report = _graph_check(prop, schemes, corpus, cache)
     _emit_json(report.to_json(limit=args.limit), args.out)
     return 0 if report.passed else 1
 
@@ -391,12 +377,8 @@ def _bench_graph(family, n, cap, seed):
                 pairs.append(tuple(sorted((name, names[(row + 1, col)]))))
             if col + 1 < side:
                 pairs.append(tuple(sorted((name, names[(row, col + 1)]))))
-        from .graphs import _pair_graph
-
         return _pair_graph(list(names.values()), pairs)
     if family == "path":
-        from .graphs import path
-
         return path(n)
     raise ValueError(f"unknown bench family: {family!r}")
 
@@ -494,7 +476,14 @@ def build_parser():
         default=[],
         help="additional corpus graph (builtin name or JSON path)",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="split the corpus graphs over N worker processes for excisive, "
+        "refines and equal; functorial and the hull checks always run "
+        "serially",
+    )
     p.add_argument("--limit", type=int, default=25)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")

@@ -334,13 +334,11 @@ def iso_check(left, right, bound=8):
 
     A hit must map the edge vertex-set multiset of one graph onto the
     other's, so parallel multiplicities matter.  Returns ``(True, map)`` or
-    ``(False, None)``; graphs above ``bound`` vertices are refused.
+    ``(False, None)``.  Graphs that the cheap invariants (vertex and edge
+    counts, edge sizes, vertex profiles) do not tell apart are refused when
+    they have more than ``bound`` vertices.
     """
     n = len(left.vertices)
-    if n > bound or len(right.vertices) > bound:
-        raise SizeLimitError(
-            f"iso_check is brute force; graphs exceed the {bound}-vertex bound"
-        )
     if n != len(right.vertices) or len(left.edges) != len(right.edges):
         return False, None
     right_sets = Counter(right.edges.values())
@@ -350,6 +348,10 @@ def iso_check(left, right, bound=8):
     rprof = _vertex_profiles(right)
     if sorted(Counter(lprof.values()).items()) != sorted(Counter(rprof.values()).items()):
         return False, None
+    if n > bound:
+        raise SizeLimitError(
+            f"iso_check is brute force; graphs exceed the {bound}-vertex bound"
+        )
 
     by_profile = {}
     for v, p in rprof.items():

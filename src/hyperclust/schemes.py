@@ -36,7 +36,7 @@ from .graphs import (
     triangle_with_tail,
 )
 from .motifs import enumerate_embeddings, expansion_edge_sets
-from .partitions import PartitionedSet
+from .partitions import PartitionedSet, remove_spurious
 
 # Family markers a MotifScheme may carry instead of concrete motifs; they
 # materialize against each input graph, truncated by what could embed at all.
@@ -175,8 +175,6 @@ def validate_shared_edge_motif(motif):
     except ValueError as exc:
         bad.append(f"corner gluing failed: {exc}")
     if corner is not None:
-        from .partitions import remove_spurious
-
         parts = remove_spurious(_shared_edge_parts(motif, corner))
         if len(parts.parts) != 2:
             bad.append(
@@ -242,11 +240,10 @@ def _toy_component_rule(graph):
 
 
 def _toy_noprops(graph):
-    if len(graph.vertices) <= 4:
-        if iso_check(graph, _PAIR)[0]:
-            return _singletons(graph)
-        if iso_check(graph, _TWO_PAIRS)[0]:
-            return PartitionedSet(graph.vertices, _pair_components(graph))
+    if iso_check(graph, _PAIR)[0]:
+        return _singletons(graph)
+    if iso_check(graph, _TWO_PAIRS)[0]:
+        return PartitionedSet(graph.vertices, _pair_components(graph))
     return _single_part(graph)
 
 

@@ -112,15 +112,8 @@ class TestCorpusExtension:
         extended = small_corpus.with_extra_graphs([host])
         assert len(extended.graphs) == len(small_corpus.graphs) + 1
         assert extended.graph_id(host) == f"g{len(small_corpus.graphs)}"
-        # morphisms untouched unless requested
+        # extras join with no morphisms
         assert len(extended.morphisms) == len(small_corpus.morphisms)
-
-    def test_extension_can_build_morphisms(self, small_corpus):
-        extended = small_corpus.with_extra_graphs(
-            [fused_triples()], build_morphisms=True
-        )
-        assert len(extended.morphisms) > len(small_corpus.morphisms)
-        assert find_invalid_morphisms(extended) == []
 
 
 class TestClusterCache:

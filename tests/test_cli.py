@@ -15,6 +15,7 @@ from hyperclust.cli import (
 from hyperclust.components import INFINITE
 from hyperclust.graphs import (
     Hypergraph,
+    build_named,
     complete_graph,
     hypergraph_to_json,
     linear_triangle,
@@ -36,6 +37,18 @@ SMALL = [
     "--max-morphism-vertices", "3",
     "--max-simple-vertices", "4",
 ]
+
+TINY = [
+    "--max-edges", "1",
+    "--max-edge-size", "1",
+    "--max-morphism-vertices", "1",
+    "--max-simple-vertices", "0",
+]
+TWO_SCHEMES = [
+    "--scheme", "representable:{E*},k=1",
+    "--scheme2", "representable:{E*},k=2",
+]
+E_STAR_2 = ["--scheme", "representable:{E*},k=2"]
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +179,14 @@ class TestCluster:
         )
         assert json.loads(out)["parts"] == [["a", "a,b", "b", "c"]]
 
+    def test_toy_rule_on_a_graph_over_eight_vertices(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cluster", "F_2", "--scheme", "toy:always_one_part_except_K2"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["parts"] == [sorted(build_named("F_2").vertices)]
+
     def test_classic_scheme_rejects_hypergraphs(self, capsys):
         code, _, err = run_cli(capsys, "cluster", "E_3", "--scheme", "classic")
         assert code == 2
@@ -281,28 +302,37 @@ class TestCheck:
         assert len(data["counterexamples"]) == 2
         assert data["statistics"]["counterexamples_total"] > 2
 
-    def test_parallel_run_matches_serial(self, capsys):
-        args = (
-            "check", "equal",
-            "--scheme", "representable:{E*},k=1",
-            "--scheme2", "representable:{E*},k=2",
-            *SMALL,
-        )
-        _, serial, _ = run_cli(capsys, *args)
-        code, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
-        assert code == 1
+    @pytest.mark.parametrize(
+        "argv, jobs, expected",
+        [
+            (["excisive", "--scheme", "toy:component_rule", *SMALL], "2", 1),
+            (["refines", *TWO_SCHEMES, *SMALL], "3", 1),
+            (["equal", *TWO_SCHEMES, *SMALL], "2", 1),
+            (
+                ["functorial", "--scheme", "toy:always_one_part_except_K2", *SMALL],
+                "3",
+                1,
+            ),
+            # three corpus graphs, one per job
+            (["excisive", *E_STAR_2, *TINY, "--max-vertices", "1"], "3", 0),
+            # a single corpus graph, fewer than the jobs
+            (["excisive", *E_STAR_2, *TINY, "--max-vertices", "0"], "2", 0),
+        ],
+        ids=["excisive", "refines", "equal", "functorial", "tiny", "one-graph"],
+    )
+    def test_parallel_run_matches_serial(self, capsys, argv, jobs, expected):
+        serial_code, serial, _ = run_cli(capsys, "check", *argv)
+        code, parallel, _ = run_cli(capsys, "check", *argv, "--jobs", jobs)
+        assert code == serial_code == expected
         assert parallel == serial
 
-    def test_parallel_functorial_matches_serial(self, capsys):
-        args = (
-            "check", "functorial",
-            "--scheme", "toy:always_one_part_except_K2",
-            *SMALL,
+    def test_functorial_refuses_extra_graphs(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "functorial", *E_STAR_2, "--extra", "P_7", *SMALL
         )
-        _, serial, _ = run_cli(capsys, *args)
-        code, parallel, _ = run_cli(capsys, *args, "--jobs", "3")
-        assert code == 1
-        assert json.loads(parallel) == json.loads(serial)
+        assert code == 2
+        assert out == ""
+        assert "--extra" in err and "morphisms" in err
 
     def test_hull_check_via_cli(self, capsys):
         code, out, _ = run_cli(

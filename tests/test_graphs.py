@@ -218,6 +218,9 @@ class TestIso:
         with pytest.raises(SizeLimitError):
             iso_check(path(9), path(9))
 
+    def test_iso_tells_large_input_apart_by_invariants(self):
+        assert iso_check(path(9), complete_graph(2)) == (False, None)
+
     @given(simple_graphs(max_vertices=5), simple_graphs(max_vertices=5))
     @settings(max_examples=40, deadline=None)
     def test_iso_matches_networkx(self, a, b):
