@@ -10,6 +10,7 @@ and every failure carries enough data to replay it in isolation.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ import math
 import os
 import pathlib
 import random
+import tempfile
 from dataclasses import dataclass
 
 from .components import (
@@ -44,7 +46,7 @@ from .motifs import enumerate_embeddings, expansion_edge_sets
 from .partitions import is_refinement
 from .schemes import MotifScheme, cluster, motif_scheme_parts, scheme_label
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 DEFAULT_GUARD = 2_000_000
 
 
@@ -163,33 +165,42 @@ def _cache_path(bounds):
 
 
 def _load_cached_graphs(bounds):
-    path = _cache_path(bounds)
+    """The cached graphs, or ``None`` unless the file is whole: its last
+    line counts the graph lines before it, so an empty or cut-short file is
+    rebuilt rather than read as a smaller corpus."""
     try:
-        text = path.read_text()
-    except OSError:
+        lines = _cache_path(bounds).read_text().splitlines()
+        footer = json.loads(lines[-1]) if lines else None
+        if footer != {"graphs": len(lines) - 1}:
+            return None
+        return [hypergraph_from_json(json.loads(line)) for line in lines[:-1]]
+    except (OSError, ValueError, KeyError):
         return None
-    graphs = []
-    try:
-        for line in text.splitlines():
-            if line.strip():
-                graphs.append(hypergraph_from_json(json.loads(line)))
-    except (ValueError, KeyError):
-        return None
-    return graphs
 
 
 def _store_cached_graphs(bounds, graphs):
+    # Each writer gets its own temp file, so concurrent runs never write
+    # into one another's, and a stale file left by a killed run is ignored.
     path = _cache_path(bounds)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("w") as handle:
+        fd, tmp = tempfile.mkstemp(
+            prefix=f"{path.stem}-", suffix=".tmp", dir=path.parent
+        )
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file private; a cache dir may be shared.
+            os.fchmod(handle.fileno(), 0o644)
             for graph in graphs:
                 handle.write(json.dumps(hypergraph_to_json(graph), sort_keys=True))
                 handle.write("\n")
+            handle.write(json.dumps({"graphs": len(graphs)}) + "\n")
         os.replace(tmp, path)
     except OSError:
-        pass
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _build_morphisms(graphs, bounds):
@@ -212,27 +223,31 @@ def _build_morphisms(graphs, bounds):
 
 
 class Corpus:
-    """An immutable collection of test graphs plus morphisms between them.
+    """An immutable collection of test graphs; the ``morphisms`` between
+    them are built from the graphs and bounds on first read, and kept.
 
     ``id_base`` offsets the printed graph ids; chunked corpora built for
     parallel checks use it so their reports name graphs consistently with
     the parent corpus.
     """
 
-    __slots__ = ("bounds", "graphs", "morphisms", "_index", "_id_base")
+    __slots__ = ("bounds", "graphs", "_morphisms", "_index", "_id_base")
 
-    def __init__(self, bounds, graphs, morphisms, id_base=0):
+    def __init__(self, bounds, graphs, id_base=0):
         self.bounds = bounds
         self.graphs = tuple(graphs)
-        self.morphisms = tuple(morphisms)
+        self._morphisms = None
         self._index = {g: i for i, g in enumerate(self.graphs)}
         self._id_base = id_base
 
     def __repr__(self):
-        return (
-            f"Corpus({len(self.graphs)} graphs, "
-            f"{len(self.morphisms)} morphisms)"
-        )
+        return f"Corpus({len(self.graphs)} graphs)"
+
+    @property
+    def morphisms(self):
+        if self._morphisms is None:
+            self._morphisms = tuple(_build_morphisms(self.graphs, self.bounds))
+        return self._morphisms
 
     def graph_id(self, graph):
         index = self._index.get(graph)
@@ -244,8 +259,7 @@ class Corpus:
     def with_extra_graphs(self, extras):
         """A corpus extended by the given graphs (isomorphs are skipped).
 
-        Extras join with no morphisms: they reach the graph-quantified
-        checks and hull arguments, never ``check_functorial``.
+        Extras are members like any other, with their own morphisms.
         """
         graphs = list(self.graphs)
         for graph in extras:
@@ -253,28 +267,21 @@ class Corpus:
                 graphs.append(graph)
         if len(graphs) == len(self.graphs):
             return self
-        return Corpus(self.bounds, graphs, self.morphisms)
+        return Corpus(self.bounds, graphs)
 
 
 def _contains_isomorph(graphs, graph):
-    fingerprint = _graph_sort_key(graph)[:3]
-    for member in graphs:
-        if _graph_sort_key(member)[:3] != fingerprint:
-            continue
-        try:
-            if iso_check(member, graph, bound=max(8, len(graph.vertices)))[0]:
-                return True
-        except SizeLimitError:
-            continue
-    return False
+    # iso_check compares vertex and edge counts, edge sizes and vertex
+    # profiles before it searches, so most members are ruled out cheaply.
+    return any(iso_check(member, graph, bound=math.inf)[0] for member in graphs)
 
 
 def generate_corpus(bounds=None, use_cache=True, guard=DEFAULT_GUARD):
     """Build the exhaustive corpus for the given bounds.
 
-    Deduplicated graphs are cached on disk keyed by the bounds.  Morphisms
-    are rebuilt on every load, and on the default bounds they are most of a
-    warm load: about 6 s of a warm CLI check on a 2-core x86 machine.
+    Deduplicated graphs are cached on disk keyed by the bounds and the
+    cache format.  Morphisms are built on the first read of
+    ``Corpus.morphisms``, so only ``check_functorial`` pays for them.
     """
     bounds = bounds or CorpusBounds()
     estimate = estimate_candidates(bounds)
@@ -290,8 +297,7 @@ def generate_corpus(bounds=None, use_cache=True, guard=DEFAULT_GUARD):
         graphs.sort(key=_graph_sort_key)
         if use_cache:
             _store_cached_graphs(bounds, graphs)
-    morphisms = _build_morphisms(graphs, bounds)
-    return Corpus(bounds, graphs, morphisms)
+    return Corpus(bounds, graphs)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def _parallel_check(kind, schemes, corpus, jobs):
     size = max(1, math.ceil(len(graphs) / jobs))
     # At least one chunk, so an empty corpus still gives a report.
     chunks = [
-        Corpus(corpus.bounds, graphs[start:start + size], (), id_base=start)
+        Corpus(corpus.bounds, graphs[start:start + size], id_base=start)
         for start in range(0, max(1, len(graphs)), size)
     ]
     context = multiprocessing.get_context("fork")
@@ -286,12 +286,6 @@ def run_check(args):
             f"{', '.join(_CHECK_NAMES)}"
         )
     prop = args.property
-    if prop == "functorial" and args.extra:
-        raise ValueError(
-            "functorial quantifies over corpus morphisms, and --extra "
-            "graphs join the corpus with none, so no checked morphism would "
-            "touch them"
-        )
     bounds = _corpus_bounds(args)
     corpus = generate_corpus(bounds, use_cache=not args.no_cache)
     if args.extra:
@@ -327,8 +321,8 @@ def run_check(args):
                 raise ValueError(f"{prop} needs --scheme")
             schemes = (parse_scheme_spec(args.scheme),)
         if prop == "functorial":
-            # Always serial: splitting the morphism list over workers
-            # measured slower than this loop on the default corpus.
+            # Always serial: splitting it over worker processes measured
+            # slower than this loop on the default corpus.
             report = check_functorial(*schemes, corpus, cache)
         elif args.jobs > 1:
             report = _parallel_check(prop, schemes, corpus, args.jobs)
@@ -474,7 +468,9 @@ def build_parser():
         "--extra",
         action="append",
         default=[],
-        help="additional corpus graph (builtin name or JSON path)",
+        help="additional corpus graph (builtin name or JSON path); it joins "
+        "every check, and functorial checks its 2^n restriction inclusions, "
+        "so keep extras small",
     )
     p.add_argument(
         "--jobs",

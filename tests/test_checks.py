@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 from hyperclust.checks import (
+    _cache_path,
     ClusterCache,
     Corpus,
     CorpusBounds,
@@ -99,6 +101,41 @@ class TestCorpusGeneration:
         rebuilt = generate_corpus(TINY)
         assert len(rebuilt.graphs) == 6
 
+    def test_empty_cache_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+        generate_corpus(TINY)
+        (path,) = tmp_path.glob("corpus-*.jsonl")
+        path.write_text("")
+        assert len(generate_corpus(TINY).graphs) == 6
+        assert len(path.read_text().splitlines()) == 7
+
+    def test_cache_missing_a_graph_line_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+        generate_corpus(TINY)
+        (path,) = tmp_path.glob("corpus-*.jsonl")
+        lines = path.read_text().splitlines(keepends=True)
+        for cut in (lines[:-1], lines[:2] + lines[3:]):
+            path.write_text("".join(cut))
+            assert len(generate_corpus(TINY).graphs) == 6
+
+    def test_stale_temp_name_does_not_block_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+        squatter = _cache_path(TINY).with_suffix(".tmp")
+        squatter.mkdir()
+        generate_corpus(TINY)
+        assert _cache_path(TINY).is_file()
+        assert list(tmp_path.glob("*.tmp")) == [squatter]
+
+    def test_failed_cache_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+
+        def fail(source, target):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert len(generate_corpus(TINY).graphs) == 6
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCorpusExtension:
     def test_isomorphs_are_skipped(self, small_corpus):
@@ -112,8 +149,9 @@ class TestCorpusExtension:
         extended = small_corpus.with_extra_graphs([host])
         assert len(extended.graphs) == len(small_corpus.graphs) + 1
         assert extended.graph_id(host) == f"g{len(small_corpus.graphs)}"
-        # extras join with no morphisms
-        assert len(extended.morphisms) == len(small_corpus.morphisms)
+        # the inclusions of R_3's 2**6 restrictions; at 6 vertices it is too
+        # large for the injective maps between small members
+        assert len(extended.morphisms) == len(small_corpus.morphisms) + 2**6
 
 
 class TestClusterCache:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hyperclust import checks
 from hyperclust.cli import (
     build_parser,
     fit_count_slope,
@@ -326,13 +327,37 @@ class TestCheck:
         assert code == serial_code == expected
         assert parallel == serial
 
-    def test_functorial_refuses_extra_graphs(self, capsys):
-        code, out, err = run_cli(
-            capsys, "check", "functorial", *E_STAR_2, "--extra", "P_7", *SMALL
-        )
-        assert code == 2
-        assert out == ""
-        assert "--extra" in err and "morphisms" in err
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["excisive", *E_STAR_2], 0),
+            (["refines", *TWO_SCHEMES], 1),
+            (["equal", *TWO_SCHEMES], 1),
+        ],
+        ids=["excisive", "refines", "equal"],
+    )
+    def test_graph_checks_never_build_morphisms(
+        self, capsys, monkeypatch, argv, expected, jobs
+    ):
+        def refuse(graphs, bounds):
+            raise AssertionError("a graph check built the corpus morphisms")
+
+        monkeypatch.setattr(checks, "_build_morphisms", refuse)
+        code, _, _ = run_cli(capsys, "check", *argv, *SMALL, "--jobs", jobs)
+        assert code == expected
+
+    def test_functorial_checks_extra_graphs(self, capsys):
+        base = ("check", "functorial", *E_STAR_2, *SMALL)
+        _, bare, _ = run_cli(capsys, *base)
+        code, out, _ = run_cli(capsys, *base, "--extra", "P_7")
+        assert code == 0
+        before = json.loads(bare)["statistics"]
+        after = json.loads(out)["statistics"]
+        assert after["graphs"] == before["graphs"] + 1
+        # P_7 has more than --max-morphism-vertices vertices, so it brings
+        # exactly the inclusions of its 2**7 restrictions
+        assert after["morphisms"] == before["morphisms"] + 2**7
 
     def test_hull_check_via_cli(self, capsys):
         code, out, _ = run_cli(
