@@ -44,7 +44,7 @@ from .graphs import (
 )
 from .motifs import enumerate_embeddings, expansion_edge_sets
 from .partitions import is_refinement
-from .schemes import MotifScheme, cluster, motif_scheme_parts, scheme_label
+from .schemes import MotifScheme, cluster, scheme_label
 
 _CACHE_VERSION = 2
 DEFAULT_GUARD = 2_000_000
@@ -271,9 +271,9 @@ class Corpus:
 
 
 def _contains_isomorph(graphs, graph):
-    # iso_check compares vertex and edge counts, edge sizes and vertex
-    # profiles before it searches, so most members are ruled out cheaply.
-    return any(iso_check(member, graph, bound=math.inf)[0] for member in graphs)
+    # iso_check compares vertex and edge counts and profile classes before
+    # it builds canonical forms, so most members are ruled out cheaply.
+    return any(iso_check(member, graph)[0] for member in graphs)
 
 
 def generate_corpus(bounds=None, use_cache=True, guard=DEFAULT_GUARD):
@@ -329,10 +329,7 @@ class ClusterCache:
         key = (scheme, graph)
         found = self._parts.get(key)
         if found is None:
-            if isinstance(scheme, MotifScheme):
-                found = motif_scheme_parts(scheme, graph, self.expansion_sets)
-            else:
-                found = cluster(scheme, graph)
+            found = cluster(scheme, graph, self.expansion_sets)
             self._parts[key] = found
         return found
 

@@ -9,6 +9,7 @@ bench output contains wall times, which are exempt from that guarantee.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -220,13 +221,9 @@ def run_linegraph(args):
     return 0
 
 
-def _corpus_bounds(args):
-    return CorpusBounds(
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        max_edge_size=args.max_edge_size,
-        max_morphism_vertices=args.max_morphism_vertices,
-        max_simple_vertices=args.max_simple_vertices,
+def _bounds_from_args(args, bounds_class):
+    return bounds_class(
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(bounds_class)}
     )
 
 
@@ -285,8 +282,10 @@ def run_check(args):
             f"unknown property {args.property!r}; choose from "
             f"{', '.join(_CHECK_NAMES)}"
         )
+    if args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
     prop = args.property
-    bounds = _corpus_bounds(args)
+    bounds = _bounds_from_args(args, CorpusBounds)
     corpus = generate_corpus(bounds, use_cache=not args.no_cache)
     if args.extra:
         corpus = corpus.with_extra_graphs(
@@ -343,13 +342,10 @@ def run_witness(args):
 
 
 def run_search(args):
-    bounds = SearchBounds(
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        max_edge_size=args.max_edge_size,
-    )
     result = search_equal_parts_example(
-        bounds, seed=args.seed, random_trials=args.trials
+        _bounds_from_args(args, SearchBounds),
+        seed=args.seed,
+        random_trials=args.trials,
     )
     _emit_json(result.to_json(), args.out)
     return 0
@@ -378,6 +374,8 @@ def _bench_graph(family, n, cap, seed):
 
 
 def run_bench(args):
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     motif = parse_graph_arg(args.motif)
     if not motif.is_simple():
         raise ValueError("bench motifs must be simple graphs")
@@ -420,12 +418,11 @@ def fit_count_slope(rows):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_bounds_flags(parser):
-    parser.add_argument("--max-vertices", type=int, default=5)
-    parser.add_argument("--max-edges", type=int, default=4)
-    parser.add_argument("--max-edge-size", type=int, default=4)
-    parser.add_argument("--max-morphism-vertices", type=int, default=4)
-    parser.add_argument("--max-simple-vertices", type=int, default=6)
+def _add_bounds_flags(parser, bounds_class):
+    for f in dataclasses.fields(bounds_class):
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"), type=int, default=f.default
+        )
 
 
 def build_parser():
@@ -483,7 +480,7 @@ def build_parser():
     p.add_argument("--limit", type=int, default=25)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")
-    _add_bounds_flags(p)
+    _add_bounds_flags(p, CorpusBounds)
     p.set_defaults(handler=run_check)
 
     p = sub.add_parser(
@@ -496,9 +493,7 @@ def build_parser():
     p = sub.add_parser(
         "search", help="search for the two-spanning-components example"
     )
-    p.add_argument("--max-vertices", type=int, default=9)
-    p.add_argument("--max-edges", type=int, default=16)
-    p.add_argument("--max-edge-size", type=int, default=3)
+    _add_bounds_flags(p, SearchBounds)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--out")

@@ -329,78 +329,36 @@ def _vertex_profiles(graph):
     return {v: tuple(sorted(sizes)) for v, sizes in prof.items()}
 
 
-def iso_check(left, right, bound=8):
-    """Isomorphism by brute force over profile-respecting bijections.
+def iso_check(left, right):
+    """Isomorphism through the canonical form of :func:`canonical_key`.
 
-    A hit must map the edge vertex-set multiset of one graph onto the
-    other's, so parallel multiplicities matter.  Returns ``(True, map)`` or
-    ``(False, None)``.  Graphs that the cheap invariants (vertex and edge
-    counts, edge sizes, vertex profiles) do not tell apart are refused when
-    they have more than ``bound`` vertices.
+    A hit maps the edge vertex-set multiset of one graph onto the other's,
+    so parallel multiplicities matter.  Returns ``(True, map)`` or
+    ``(False, None)``.  Vertex and edge counts are compared first, then the
+    profile classes (which also fix the edge sizes); only graphs that agree
+    on both get canonical forms, so only they can be refused, as
+    :func:`canonical_key` refuses them.
     """
-    n = len(left.vertices)
-    if n != len(right.vertices) or len(left.edges) != len(right.edges):
+    if len(left.vertices) != len(right.vertices) or len(left.edges) != len(right.edges):
         return False, None
-    right_sets = Counter(right.edges.values())
-    if sorted(map(len, left.edges.values())) != sorted(map(len, right.edges.values())):
+    lshape, rshape = (sorted(Counter(_vertex_profiles(g).values()).items()) for g in (left, right))
+    if lshape != rshape:
         return False, None
-    lprof = _vertex_profiles(left)
-    rprof = _vertex_profiles(right)
-    if sorted(Counter(lprof.values()).items()) != sorted(Counter(rprof.values()).items()):
+    (lkey, llabel), (rkey, rlabel) = _canonical_form(left), _canonical_form(right)
+    if lkey != rkey:
         return False, None
-    if n > bound:
-        raise SizeLimitError(
-            f"iso_check is brute force; graphs exceed the {bound}-vertex bound"
-        )
-
-    by_profile = {}
-    for v, p in rprof.items():
-        by_profile.setdefault(p, []).append(v)
-    order = sorted(left.vertices, key=lambda v: (len(by_profile[lprof[v]]), v))
-    incident = {v: [] for v in left.vertices}
-    for s in left.edges.values():
-        for v in s:
-            incident[v].append(s)
-
-    assignment = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            images = Counter(frozenset(assignment[v] for v in s) for s in left.edges.values())
-            return images == right_sets
-        v = order[i]
-        for w in sorted(by_profile[lprof[v]]):
-            if w in used:
-                continue
-            assignment[v] = w
-            used.add(w)
-            ok = True
-            for s in incident[v]:
-                if all(u in assignment for u in s):
-                    if frozenset(assignment[u] for u in s) not in right_sets:
-                        ok = False
-                        break
-            if ok and extend(i + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
-
-    if extend(0):
-        return True, dict(assignment)
-    return False, None
+    # Both labellings send their graph's edge multiset onto the same key.
+    vertex_at = {i: w for w, i in rlabel.items()}
+    return True, {v: vertex_at[i] for v, i in llabel.items()}
 
 
-def canonical_key(graph, perm_cap=2_000_000):
-    """A label-independent key: two graphs get equal keys exactly when they
-    are isomorphic.
+# Graphs with more profile-respecting bijections than this are refused: the
+# canonical form tries every one of them.
+_PERM_CAP = 2_000_000
 
-    The key is the minimum, over all bijections onto ``0..n-1`` that respect
-    vertex incidence profiles, of the relabelled edge multiset.  Profile
-    classes cut the search down; isomorphisms always respect profiles, so
-    restricting to them loses nothing.
-    """
+
+def _canonical_form(graph):
+    # The canonical key and a labelling vertex -> 0..n-1 that attains it.
     n = len(graph.vertices)
     prof = _vertex_profiles(graph)
     classes = {}
@@ -409,14 +367,14 @@ def canonical_key(graph, perm_cap=2_000_000):
     ordered = sorted(classes.items())
     shape = tuple((p, len(vs)) for p, vs in ordered)
     if not graph.edges:
-        return (n, shape, ())
+        return (n, shape, ()), {v: i for i, v in enumerate(graph.vertices)}
 
     total = 1
     for _, vs in ordered:
         for k in range(2, len(vs) + 1):
             total *= k
-        if total > perm_cap:
-            raise SizeLimitError("canonical_key: too many profile-respecting bijections")
+        if total > _PERM_CAP:
+            raise SizeLimitError("canonical form: too many profile-respecting bijections")
 
     slots = []
     start = 0
@@ -424,7 +382,7 @@ def canonical_key(graph, perm_cap=2_000_000):
         slots.append((vs, start))
         start += len(vs)
 
-    best = None
+    best = labelling = None
     for combo in itertools.product(*[itertools.permutations(vs) for vs, _ in slots]):
         position = {}
         for (vs, base), perm in zip(slots, combo):
@@ -433,7 +391,23 @@ def canonical_key(graph, perm_cap=2_000_000):
         encoded = tuple(sorted(tuple(sorted(position[v] for v in s)) for s in graph.edges.values()))
         if best is None or encoded < best:
             best = encoded
-    return (n, shape, best)
+            labelling = position
+    return (n, shape, best), labelling
+
+
+def canonical_key(graph):
+    """A label-independent key: two graphs get equal keys exactly when they
+    are isomorphic.
+
+    The key is the minimum, over all bijections onto ``0..n-1`` that respect
+    vertex incidence profiles, of the relabelled edge multiset.  Profile
+    classes cut the search down; isomorphisms always respect profiles, so
+    restricting to them loses nothing.  This is the only isomorphism search
+    in the package: :func:`iso_check` and corpus deduplication both use it.
+    Graphs with edges and more than 2,000,000 profile-respecting bijections
+    are refused with :class:`SizeLimitError`.
+    """
+    return _canonical_form(graph)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -188,12 +188,17 @@ def motif_expansion(motifs, graph, budget=None):
 
     Edge ids encode the motif index and the vertex map, so the output is
     reproducible and each edge's provenance can be recovered from its id.
+    Vertex names containing ``,`` or ``:`` can give two embeddings the same
+    id; that raises ``ValueError`` rather than dropping an edge.
     """
     cooked = _check_motifs(motifs)
     edges = {}
     for index, motif in enumerate(cooked):
         for emb in enumerate_embeddings(motif, graph, budget=budget):
-            edges[expansion_edge_id(index, emb.map)] = emb.image(motif.vertices)
+            eid = expansion_edge_id(index, emb.map)
+            if eid in edges:
+                raise ValueError(f"two embeddings are both named {eid}")
+            edges[eid] = emb.image(motif.vertices)
     return Hypergraph._make(graph.vertices, dict(sorted(edges.items())))
 
 

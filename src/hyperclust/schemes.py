@@ -265,22 +265,22 @@ def toy_cluster(rule, graph):
 # ---------------------------------------------------------------------------
 # evaluation and serialization
 
-def motif_scheme_parts(scheme, graph, expand):
-    """Evaluate a MotifScheme, with ``expand(motifs, graph)`` giving the
-    distinct edge vertex sets of the expansion."""
-    motifs = tuple(materialize_motifs(scheme.motifs, graph))
-    sets = expand(motifs, graph)
-    return PartitionedSet(graph.vertices, component_member_unions(sets, scheme.min_overlap))
-
-
-def cluster(scheme, graph):
+def cluster(scheme, graph, expand=None):
     """Apply a scheme to a hypergraph.
 
     The result's underlying set is always the graph's full vertex set; which
-    vertices get covered by parts is up to the scheme.
+    vertices get covered by parts is up to the scheme.  This is the one
+    place that evaluates each scheme kind.  A MotifScheme gets the distinct
+    edge vertex sets of its expansion from ``expand(motifs, graph)``, by
+    default :func:`~hyperclust.motifs.expansion_edge_sets`, so a caller can
+    memoize them across schemes.
     """
     if isinstance(scheme, MotifScheme):
-        return motif_scheme_parts(scheme, graph, expansion_edge_sets)
+        motifs = tuple(materialize_motifs(scheme.motifs, graph))
+        # Looked up at call time, so a wrapper installed on this module's
+        # expansion_edge_sets sees every default call.
+        sets = (expand or expansion_edge_sets)(motifs, graph)
+        return PartitionedSet(graph.vertices, component_member_unions(sets, scheme.min_overlap))
     if isinstance(scheme, SharedEdgeScheme):
         return _shared_edge_parts(scheme.motif, graph)
     if isinstance(scheme, ComponentScheme):

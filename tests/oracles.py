@@ -21,6 +21,26 @@ def to_nx(graph):
     return out
 
 
+def incidence_isomorphic(left, right):
+    """Hypergraph isomorphism as networkx isomorphism of the vertex-edge
+    incidence graphs.  Edge nodes are marked, and each edge id gets its own
+    node, so parallel edges count."""
+
+    def incidence(graph):
+        out = nx.Graph()
+        out.add_nodes_from((("v", v) for v in graph.vertices), edge=False)
+        for eid, members in graph.edges.items():
+            out.add_node(("e", eid), edge=True)
+            out.add_edges_from((("e", eid), ("v", v)) for v in members)
+        return out
+
+    return nx.is_isomorphic(
+        incidence(left),
+        incidence(right),
+        node_match=lambda a, b: a["edge"] == b["edge"],
+    )
+
+
 def naive_embeddings(motif, graph):
     """Every injective vertex map sending each motif edge onto some edge
     vertex set of the target, as a sorted list of mapping dicts."""

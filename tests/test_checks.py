@@ -1,8 +1,10 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
+from hyperclust import checks
 from hyperclust.checks import (
     _cache_path,
     ClusterCache,
@@ -165,6 +167,23 @@ class TestClusterCache:
         for scheme in schemes:
             for graph in small_corpus.graphs[:40]:
                 assert cache.parts(scheme, graph) == cluster(scheme, graph)
+
+    def test_refines_expands_each_graph_once(self, small_corpus, monkeypatch):
+        # Both thresholds materialize the same E* motifs, so the second
+        # scheme must reuse the first one's expansion.
+        calls = Counter()
+        real = checks.expansion_edge_sets
+
+        def counting(motifs, graph):
+            calls[graph] += 1
+            return real(motifs, graph)
+
+        monkeypatch.setattr(checks, "expansion_edge_sets", counting)
+        check_refines(
+            MotifScheme(("E*",), 2), MotifScheme(("E*",), 1), small_corpus, ClusterCache()
+        )
+        assert calls == Counter(small_corpus.graphs)
+        assert set(calls.values()) == {1}
 
     def test_repeated_lookups_reuse_the_stored_object(self):
         cache = ClusterCache()

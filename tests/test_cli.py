@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -65,6 +66,18 @@ def name_clash_file(tmp_path):
     return str(target)
 
 
+def id_clash_file(tmp_path):
+    # K_2 embeds as v1->p, v2->"q,v2:r" and as v1->"p,v2:q", v2->r; both
+    # expansion edge ids print as "m0[v1:p,v2:q,v2:r]".
+    target = tmp_path / "id_clash.json"
+    graph = Hypergraph(
+        ["p", "r", "p,v2:q", "q,v2:r"],
+        {"e1": ("p,v2:q", "r"), "e2": ("p", "q,v2:r")},
+    )
+    target.write_text(json.dumps(hypergraph_to_json(graph)))
+    return str(target)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -123,6 +136,16 @@ class TestParsing:
             parse_scheme_spec("fancy")
         with pytest.raises(ValueError):
             parse_scheme_spec("toy:mystery")
+
+    def test_bound_flags_default_to_the_bounds_dataclasses(self):
+        parser = build_parser()
+        for argv, bounds in (
+            (["check", "excisive"], checks.CorpusBounds()),
+            (["search"], checks.SearchBounds()),
+        ):
+            args = parser.parse_args(argv)
+            parsed = {f.name: getattr(args, f.name) for f in dataclasses.fields(bounds)}
+            assert parsed == dataclasses.asdict(bounds)
 
     def test_parser_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
@@ -206,6 +229,14 @@ class TestPhi:
         code, _, err = run_cli(capsys, "phi", "K_3", "--motifs", "E*")
         assert code == 2
         assert "family marker" in err
+
+    def test_colliding_edge_ids_are_refused(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "phi", id_clash_file(tmp_path), "--motifs", "{K_2}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "m0[v1:p,v2:q,v2:r]" in err
 
     def test_budget_overrun_is_a_clean_error(self, capsys):
         code, _, err = run_cli(
@@ -302,6 +333,17 @@ class TestCheck:
         data = json.loads(out)
         assert len(data["counterexamples"]) == 2
         assert data["statistics"]["counterexamples_total"] > 2
+
+    def test_negative_limit_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "equal",
+            "--scheme", "representable:{E*},k=1",
+            "--scheme2", "representable:{E*},k=inf",
+            "--limit", "-1", *SMALL,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
 
     @pytest.mark.parametrize(
         "argv, jobs, expected",
@@ -485,6 +527,15 @@ class TestBench:
         )
         assert code == 2
         assert "simple" in err
+
+    def test_repeat_below_one_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--motif", "K_2", "--family", "path",
+            "--sizes", "10", "--repeat", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--repeat" in err
 
     def test_fit_count_slope(self):
         assert fit_count_slope([(10, 100, 0.0), (100, 10000, 0.0)]) == pytest.approx(2.0)

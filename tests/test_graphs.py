@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,12 @@ class TestIso:
         b = Hypergraph("ab", {"e1": "ab"})
         assert not iso_check(a, b)[0]
         assert iso_check(a, relabel(a, {"a": "x", "b": "y"}))[0]
+        # Same counts, profile classes and distinct edge sets (the path
+        # b-e-d-c); only the multiplicities tell them apart.
+        tripled = Hypergraph("bcde", {"e1": "be", "e2": "cd", "e3": "cd", "e4": "cd", "e5": "de"})
+        doubled = Hypergraph("bcde", {"e1": "be", "e2": "cd", "e3": "cd", "e4": "de", "e5": "de"})
+        assert not oracles.incidence_isomorphic(tripled, doubled)
+        assert not iso_check(tripled, doubled)[0]
 
     def test_iso_returns_valid_map(self):
         g = cycle(5)
@@ -215,8 +222,19 @@ class TestIso:
         assert validate_graph_morphism(m).ok
 
     def test_iso_refuses_large_input(self):
+        # 10! profile-respecting bijections, over the cap of both routines.
         with pytest.raises(SizeLimitError):
-            iso_check(path(9), path(9))
+            iso_check(complete_graph(10), complete_graph(10))
+        with pytest.raises(SizeLimitError):
+            canonical_key(complete_graph(10))
+
+    def test_iso_answers_below_the_bijection_cap(self):
+        # 2! * 7! = 10,080 profile-respecting bijections.
+        g = path(9)
+        h = relabel(g, {f"v{i}": f"w{(4 * i) % 9}" for i in range(1, 10)})
+        ok, mapping = iso_check(g, h)
+        assert ok
+        assert validate_graph_morphism(GraphMorphism(g, h, mapping)).ok
 
     def test_iso_tells_large_input_apart_by_invariants(self):
         assert iso_check(path(9), complete_graph(2)) == (False, None)
@@ -227,6 +245,23 @@ class TestIso:
         ours = iso_check(a, b)[0]
         theirs = nx.is_isomorphic(oracles.to_nx(a), oracles.to_nx(b))
         assert ours == theirs
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_iso_matches_incidence_oracle(self, data):
+        a = data.draw(hypergraphs(max_vertices=5))
+        if data.draw(st.booleans()):
+            names = data.draw(st.permutations([f"w{i}" for i in range(len(a.vertices))]))
+            b = relabel(a, dict(zip(a.vertices, names)))
+        else:
+            b = data.draw(hypergraphs(max_vertices=5))
+        ok, mapping = iso_check(a, b)
+        assert ok == oracles.incidence_isomorphic(a, b)
+        if ok:
+            assert sorted(mapping) == list(a.vertices)
+            assert sorted(mapping.values()) == list(b.vertices)
+            images = Counter(frozenset(mapping[v] for v in s) for s in a.edges.values())
+            assert images == Counter(b.edges.values())
 
     @given(hypergraphs(max_vertices=5))
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,15 @@ class TestExpansion:
     def test_names_are_not_motifs(self):
         with pytest.raises(ValueError):
             motif_expansion(["K2"], complete_graph(2))
+
+    def test_colliding_edge_ids_are_refused(self):
+        # v1->p, v2->"q,v2:r" and v1->"p,v2:q", v2->r print the same id.
+        g = Hypergraph(
+            ["p", "r", "p,v2:q", "q,v2:r"],
+            {"e1": ("p,v2:q", "r"), "e2": ("p", "q,v2:r")},
+        )
+        with pytest.raises(ValueError, match=re.escape("m0[v1:p,v2:q,v2:r]")):
+            motif_expansion([complete_graph(2)], g)
 
     def test_edge_sets_shortcut_agrees(self):
         motifs = [complete_graph(2), simplex(3)]
