@@ -19,7 +19,7 @@ import os
 import pathlib
 import random
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .components import (
     _line_graph_over,
@@ -50,6 +50,18 @@ _CACHE_VERSION = 2
 DEFAULT_GUARD = 2_000_000
 
 
+def _bound(default, minimum):
+    # A bounds field; values below ``minimum`` describe no meaningful corpus.
+    return field(default=default, metadata={"minimum": minimum})
+
+
+def _refuse_low_bounds(bounds):
+    for f in fields(bounds):
+        value, low = getattr(bounds, f.name), f.metadata["minimum"]
+        if value < low:
+            raise ValueError(f"{f.name} must be at least {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class CorpusBounds:
     """Size limits for the exhaustive corpus.
@@ -59,14 +71,19 @@ class CorpusBounds:
     separately), and ``max_edge_size`` vertices per edge.  Simple graphs are
     additionally included up to ``max_simple_vertices``.  Injective maps
     between members are enumerated exhaustively only when both endpoints
-    have at most ``max_morphism_vertices`` vertices.
+    have at most ``max_morphism_vertices`` vertices.  Edge sizes start at 1,
+    every other bound at 0 (``max_simple_vertices=0`` adds no simple
+    graphs); lower values raise ``ValueError``.
     """
 
-    max_vertices: int = 5
-    max_edges: int = 4
-    max_edge_size: int = 4
-    max_morphism_vertices: int = 4
-    max_simple_vertices: int = 6
+    max_vertices: int = _bound(5, 0)
+    max_edges: int = _bound(4, 0)
+    max_edge_size: int = _bound(4, 1)
+    max_morphism_vertices: int = _bound(4, 0)
+    max_simple_vertices: int = _bound(6, 0)
+
+    def __post_init__(self):
+        _refuse_low_bounds(self)
 
 
 def _multiset_count(universe, size):
@@ -698,9 +715,15 @@ def finite_rep_witness(motif_graphs):
 
 @dataclass(frozen=True)
 class SearchBounds:
-    max_vertices: int = 9
-    max_edges: int = 16
-    max_edge_size: int = 3
+    """Size limits for the equal-parts search; edge sizes start at 1, the
+    other bounds at 0, and lower values raise ``ValueError``."""
+
+    max_vertices: int = _bound(9, 0)
+    max_edges: int = _bound(16, 0)
+    max_edge_size: int = _bound(3, 1)
+
+    def __post_init__(self):
+        _refuse_low_bounds(self)
 
 
 class EqualPartsResult:

@@ -418,10 +418,26 @@ def fit_count_slope(rows):
 # ---------------------------------------------------------------------------
 # argument wiring
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = "int"
+    return parse
+
+
 def _add_bounds_flags(parser, bounds_class):
     for f in dataclasses.fields(bounds_class):
         parser.add_argument(
-            "--" + f.name.replace("_", "-"), type=int, default=f.default
+            "--" + f.name.replace("_", "-"),
+            type=_at_least(f.metadata["minimum"]),
+            default=f.default,
         )
 
 
@@ -443,7 +459,7 @@ def build_parser():
     p = sub.add_parser("phi", help="expand a graph along motifs")
     p.add_argument("graph")
     p.add_argument("--motifs", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_at_least(0), default=None)
     p.add_argument("--out")
     p.set_defaults(handler=run_phi)
 
@@ -495,7 +511,7 @@ def build_parser():
     )
     _add_bounds_flags(p, SearchBounds)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=_at_least(0), default=2000)
     p.add_argument("--out")
     p.set_defaults(handler=run_search)
 

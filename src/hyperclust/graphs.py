@@ -155,6 +155,16 @@ class GraphMorphism:
             pairs = mapping
         self.map = {str(a): str(b) for a, b in pairs}
 
+    @classmethod
+    def _make(cls, source, target, mapping):
+        # Fast path for internal callers whose map is already a dict with
+        # string keys and values; it is stored as given.
+        m = cls.__new__(cls)
+        m.source = source
+        m.target = target
+        m.map = mapping
+        return m
+
     def image(self, subset):
         return frozenset(self.map[v] for v in subset)
 

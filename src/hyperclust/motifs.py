@@ -8,7 +8,9 @@ embedding, spanning the embedding's image.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from collections import Counter
 
@@ -18,8 +20,10 @@ from .graphs import GraphMorphism, Hypergraph, SizeLimitError, independence_numb
 class BudgetExceededError(Exception):
     """The embedding search ran past its node budget.
 
-    ``found`` carries the number of embeddings completed before the search
-    gave up, so callers can report partial progress.
+    ``found`` counts the embeddings accounted for before the search gave
+    up.  Each representative found stands for its whole Aut(motif) coset, so
+    this is the number of representatives times the motif's automorphism
+    count.
     """
 
     def __init__(self, budget, found):
@@ -51,100 +55,196 @@ def _search_order(motif):
     return order
 
 
+def _edge_index(sets):
+    # (vertex, edge size) -> the distinct edge sets of that size through it.
+    index = {}
+    for s in sets:
+        size = len(s)
+        for v in s:
+            index.setdefault((v, size), []).append(s)
+    return index
+
+
+class _Plan:
+    """How to search for one motif, computed once per motif.
+
+    Position i places motif vertex ``order[i]``.  ``anchors[i]`` is None or
+    ``(size, placed)``: a motif edge of that size through the vertex whose
+    earlier positions ``placed`` are already mapped, so candidates come from
+    the target edges through their images.  ``closes[i]`` lists the other
+    edges (as position tuples) whose last vertex is placed at i, and
+    ``needs[i]`` the ``(edge size, count)`` profile a target vertex must
+    meet.  ``lower[i]`` lists the earlier positions whose images the image
+    of i must exceed, and ``levels`` the stabilizer chain's non-identity
+    transversal elements, as getters on image tuples in sorted-vertex
+    order; ``slots`` turns a position-ordered image tuple into that order.
+    """
+
+    __slots__ = (
+        "order", "sizes", "anchors", "closes", "needs", "slots",
+        "lower", "levels", "group_size",
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(motif):
+    order = tuple(_search_order(motif))
+    position = {v: i for i, v in enumerate(order)}
+    edges = sorted(tuple(sorted(position[v] for v in s)) for s in motif.edge_sets())
+    plan = _Plan()
+    plan.order = order
+    plan.sizes = tuple(sorted(Counter(len(e) for e in edges).items()))
+    anchors, closes, needs = [], [], []
+    for i in range(len(order)):
+        mine = [e for e in edges if i in e]
+        needs.append(tuple(sorted(Counter(len(e) for e in mine).items())))
+        anchored = [e for e in mine if e[0] < i]
+        # Most placed vertices first, then the fewest left to place.
+        anchor = max(anchored, key=lambda e: (sum(p < i for p in e), -len(e)), default=None)
+        if anchor is None:
+            anchors.append(None)
+        else:
+            anchors.append((len(anchor), tuple(p for p in anchor if p < i)))
+        # Candidates from a closing anchor already complete it to an edge.
+        closes.append(tuple(e for e in mine if e[-1] == i and e != anchor))
+    plan.anchors, plan.closes, plan.needs = tuple(anchors), tuple(closes), tuple(needs)
+    plan.slots = tuple(position[v] for v in motif.vertices)
+    plan.lower, plan.levels, plan.group_size = _stabilizer_chain(plan, motif)
+    return plan
+
+
+def _stabilizer_chain(plan, motif):
+    """Aut(motif) as a stabilizer chain along the placement order.
+
+    For each position i, a first-hit search of the motif into itself with
+    positions before i fixed and position i sent to w finds an automorphism
+    fixing ``order[:i]`` and moving ``order[i]`` to w, when one exists.  The
+    hits form the orbit of ``order[i]`` under that stabilizer and a
+    transversal of the next stabilizer in it.  Requiring ``order[i]``'s image
+    to be below the image of every other orbit member picks exactly one
+    embedding from each coset f·Aut, and products of one transversal
+    element per level rebuild the coset.
+
+    Returns ``(lower, levels, group size)`` as described on :class:`_Plan`.
+    """
+    order = plan.order
+    n = len(order)
+    sets = motif.edge_sets()
+    index = _edge_index(sets)
+    position = {v: i for i, v in enumerate(order)}
+    sorted_at = {v: k for k, v in enumerate(motif.vertices)}
+    unconstrained = ((),) * n
+    lower = [[] for _ in range(n)]
+    levels = []
+    group_size = 1
+    for i in range(n):
+        pins = {j: order[j] for j in range(i)}
+        moves = []
+        for w in order[i + 1:]:
+            if plan.needs[position[w]] != plan.needs[i]:
+                continue
+            pins[i] = w
+            hit = _search(plan, motif, sets, index, unconstrained, pins, first=True)
+            if hit:
+                lower[position[w]].append(i)
+                image = dict(zip(order, hit[0]))
+                moves.append(operator.itemgetter(*(sorted_at[image[v]] for v in motif.vertices)))
+        if moves:
+            levels.append(tuple(moves))
+            group_size *= len(moves) + 1
+    return tuple(map(tuple, lower)), tuple(levels), group_size
+
+
+def _search(plan, graph, sets, index, lower, pins=None, first=False, budget=None):
+    """The search kernel: position-ordered image tuples of the embeddings
+    of the plan's motif into ``graph`` whose image at i exceeds the images
+    at ``lower[i]`` and equals ``pins[i]`` where pinned; only the first one
+    found when ``first``.  ``sets`` and ``index`` are the graph's distinct
+    edge sets and their :func:`_edge_index`.  Each candidate that passes the
+    injectivity, order and profile tests is one node against ``budget``.
+    """
+    anchors, closes, needs = plan.anchors, plan.closes, plan.needs
+    n = len(anchors)
+    image = [None] * n
+    used = set()
+    found = []
+    nodes = 0
+
+    def extend(i):
+        nonlocal nodes
+        if i == n:
+            found.append(tuple(image))
+            return first
+        anchor = anchors[i]
+        if anchor is None:
+            candidates = graph.vertices
+        else:
+            size, placed = anchor
+            through = index.get((image[placed[0]], size), ())
+            if len(placed) > 1:
+                held = {image[p] for p in placed}
+                through = [s for s in through if held <= s]
+            candidates = sorted(set().union(*through) - used)
+        if pins and i in pins:
+            candidates = [pins[i]] if pins[i] in candidates else []
+        need, closing = needs[i], closes[i]
+        floor = max([image[j] for j in lower[i]]) if lower[i] else None
+        for w in candidates:
+            if w in used or (floor is not None and w <= floor):
+                continue
+            for size, count in need:
+                if len(index.get((w, size), ())) < count:
+                    break
+            else:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError(budget, len(found) * plan.group_size)
+                image[i] = w
+                if closing and not all(
+                    frozenset([image[p] for p in e]) in sets for e in closing
+                ):
+                    continue
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                used.discard(w)
+        return False
+
+    extend(0)
+    return found
+
+
 def enumerate_embeddings(motif, graph, budget=None):
     """All embeddings of ``motif`` into ``graph`` as morphisms, sorted by
     their image tuple so the order is reproducible.
 
-    ``budget`` caps the number of search nodes; overruns raise
-    :class:`BudgetExceededError` with the count found so far.
+    Automorphisms of the motif act freely on its embeddings, so the search
+    looks for one embedding per coset f·Aut(motif): symmetry-breaking
+    constraints ``image[i] < image[j]``, read off a stabilizer chain of
+    Aut(motif), admit exactly one member of each coset.  Each member found
+    is then composed with every product of the chain's transversals to
+    emit its whole coset.  The chain comes from pinned searches of the
+    motif into itself and is kept, with the rest of the per-motif search
+    plan, in a bounded cache.
+
+    ``budget`` caps the number of nodes of the representative search;
+    overruns raise :class:`BudgetExceededError`, whose ``found`` counts the
+    embeddings the representatives found so far stand for.
     """
-    src_n = len(motif.vertices)
-    if src_n > len(graph.vertices):
+    plan = _plan(motif)
+    if len(plan.order) > len(graph.vertices):
         return []
-    target_sets = set(graph.edges.values())
-    sizes_needed = Counter(len(s) for s in motif.edge_sets())
-    sizes_have = Counter(len(s) for s in target_sets)
-    for size, need in sizes_needed.items():
-        if sizes_have.get(size, 0) < need:
-            return []
-
-    by_vertex = {v: [] for v in graph.vertices}
-    for s in target_sets:
-        for v in s:
-            by_vertex[v].append(s)
-    src_profile = {v: Counter() for v in motif.vertices}
-    for s in motif.edge_sets():
-        for v in s:
-            src_profile[v][len(s)] += 1
-    tgt_profile = {v: Counter(len(s) for s in by_vertex[v]) for v in graph.vertices}
-
-    def profile_fits(sv, tv):
-        have = tgt_profile[tv]
-        return all(have.get(size, 0) >= need for size, need in src_profile[sv].items())
-
-    order = _search_order(motif)
-    incident = {v: [s for s in motif.edge_sets() if v in s] for v in motif.vertices}
-    position = {v: i for i, v in enumerate(order)}
-    results = []
-    assignment = {}
-    used = set()
-    nodes = 0
-    all_vertices = sorted(graph.vertices)
-    sorted_src = sorted(motif.vertices)
-
-    def candidates(v):
-        best = None
-        for s in incident[v]:
-            placed = [u for u in s if u in assignment]
-            if not placed:
-                continue
-            pool = set()
-            want = len(s)
-            anchor = assignment[placed[0]]
-            placed_img = {assignment[u] for u in placed}
-            for t in by_vertex[anchor]:
-                if len(t) == want and placed_img <= t:
-                    pool.update(t - placed_img)
-            if best is None or len(pool) < len(best):
-                best = pool
-                if not best:
-                    return best
-        if best is None:
-            return [w for w in all_vertices if w not in used and profile_fits(v, w)]
-        return sorted(best - used)
-
-    def extend(i):
-        nonlocal nodes
-        if i == src_n:
-            results.append(dict(assignment))
-            return
-        v = order[i]
-        for w in candidates(v):
-            if w in used or not profile_fits(v, w):
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget, len(results))
-            ok = True
-            for s in incident[v]:
-                if all(u in assignment or u == v for u in s):
-                    image = frozenset(
-                        assignment[u] if u != v else w for u in s
-                    )
-                    if image not in target_sets:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            assignment[v] = w
-            used.add(w)
-            extend(i + 1)
-            del assignment[v]
-            used.discard(w)
-
-    extend(0)
-    results.sort(key=lambda m: tuple(m[v] for v in sorted_src))
-    return [GraphMorphism(motif, graph, m) for m in results]
+    sets = graph.edge_sets()
+    have = [len(s) for s in sets]
+    if any(have.count(size) < count for size, count in plan.sizes):
+        return []
+    found = _search(plan, graph, sets, _edge_index(sets), plan.lower, budget=budget)
+    images = [tuple(rep[p] for p in plan.slots) for rep in found]
+    for level in plan.levels:
+        images.extend([move(image) for image in images for move in level])
+    images.sort()
+    names = motif.vertices
+    return [GraphMorphism._make(motif, graph, dict(zip(names, image))) for image in images]
 
 
 def _check_motifs(motifs):
@@ -208,9 +308,8 @@ def expansion_edge_sets(motifs, graph, budget=None):
     cooked = _check_motifs(motifs)
     sets = set()
     for motif in cooked:
-        span = frozenset(motif.vertices)
         for emb in enumerate_embeddings(motif, graph, budget=budget):
-            sets.add(emb.image(span))
+            sets.add(frozenset(emb.map.values()))
     return frozenset(sets)
 
 

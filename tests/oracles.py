@@ -5,6 +5,7 @@ subset enumeration, or thin wrappers over networkx.  The library under test
 must agree with these on every graph small enough to afford them.
 """
 
+import functools
 import itertools
 
 import networkx as nx
@@ -21,22 +22,24 @@ def to_nx(graph):
     return out
 
 
+@functools.lru_cache(maxsize=4096)
+def _incidence(graph):
+    # Shared between calls, so callers must not modify it.
+    out = nx.Graph()
+    out.add_nodes_from((("v", v) for v in graph.vertices), edge=False)
+    for eid, members in graph.edges.items():
+        out.add_node(("e", eid), edge=True)
+        out.add_edges_from((("e", eid), ("v", v)) for v in members)
+    return out
+
+
 def incidence_isomorphic(left, right):
     """Hypergraph isomorphism as networkx isomorphism of the vertex-edge
     incidence graphs.  Edge nodes are marked, and each edge id gets its own
     node, so parallel edges count."""
-
-    def incidence(graph):
-        out = nx.Graph()
-        out.add_nodes_from((("v", v) for v in graph.vertices), edge=False)
-        for eid, members in graph.edges.items():
-            out.add_node(("e", eid), edge=True)
-            out.add_edges_from((("e", eid), ("v", v)) for v in members)
-        return out
-
     return nx.is_isomorphic(
-        incidence(left),
-        incidence(right),
+        _incidence(left),
+        _incidence(right),
         node_match=lambda a, b: a["edge"] == b["edge"],
     )
 

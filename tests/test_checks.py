@@ -68,6 +68,23 @@ class TestCorpusGeneration:
         assert estimate_candidates(TINY) == 7
         assert estimate_candidates(CorpusBounds()) > 10_000
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CorpusBounds(max_vertices=-1),
+            lambda: CorpusBounds(max_edges=-1),
+            lambda: CorpusBounds(max_edge_size=0),
+            lambda: CorpusBounds(max_morphism_vertices=-1),
+            lambda: CorpusBounds(max_simple_vertices=-1),
+            lambda: SearchBounds(max_vertices=-1),
+            lambda: SearchBounds(max_edges=-1),
+            lambda: SearchBounds(max_edge_size=0),
+        ],
+    )
+    def test_bounds_below_their_minimum_are_refused(self, make):
+        with pytest.raises(ValueError, match="must be at least"):
+            make()
+
     def test_guard_refuses_oversized_bounds(self):
         big = CorpusBounds(max_vertices=8, max_edges=8, max_edge_size=8)
         with pytest.raises(SizeLimitError):

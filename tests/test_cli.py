@@ -84,6 +84,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused_at_parse(capsys, *argv):
+    """Stdout and stderr of a command line the parser rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
 class TestParsing:
     def test_builtin_graph_names(self):
         assert parse_graph_arg("E_3") == simplex(3)
@@ -238,6 +247,13 @@ class TestPhi:
         assert out == ""
         assert "m0[v1:p,v2:q,v2:r]" in err
 
+    def test_negative_budget_is_refused(self, capsys):
+        out, err = refused_at_parse(
+            capsys, "phi", "K_3", "--motifs", "{K_2}", "--budget", "-1"
+        )
+        assert out == ""
+        assert "argument --budget: must be at least 0, got -1" in err
+
     def test_budget_overrun_is_a_clean_error(self, capsys):
         code, _, err = run_cli(
             capsys, "phi", "K_6", "--motifs", "{P_3}", "--budget", "5"
@@ -333,6 +349,21 @@ class TestCheck:
         data = json.loads(out)
         assert len(data["counterexamples"]) == 2
         assert data["statistics"]["counterexamples_total"] > 2
+
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [
+            ("--max-vertices", "-1", 0),
+            ("--max-edges", "-1", 0),
+            ("--max-edge-size", "0", 1),
+            ("--max-morphism-vertices", "-1", 0),
+            ("--max-simple-vertices", "-1", 0),
+        ],
+    )
+    def test_bounds_below_their_minimum_are_refused(self, capsys, flag, value, low):
+        out, err = refused_at_parse(capsys, "check", "excisive", *E_STAR_2, flag, value)
+        assert out == ""
+        assert f"argument {flag}: must be at least {low}, got {value}" in err
 
     def test_negative_limit_is_refused(self, capsys):
         code, out, err = run_cli(
@@ -480,6 +511,20 @@ class TestSearch:
         data = json.loads(out)
         assert data["outcome"] == "witness"
         assert data["transcript"]["spanning_components"] >= 2
+
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [
+            ("--trials", "-3", 0),
+            ("--max-vertices", "-1", 0),
+            ("--max-edges", "-1", 0),
+            ("--max-edge-size", "0", 1),
+        ],
+    )
+    def test_values_below_their_minimum_are_refused(self, capsys, flag, value, low):
+        out, err = refused_at_parse(capsys, "search", "--max-vertices", "4", flag, value)
+        assert out == ""
+        assert f"argument {flag}: must be at least {low}, got {value}" in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "search", "--seed", "5")

@@ -1,8 +1,9 @@
+import itertools
 import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import networkx as nx
@@ -11,6 +12,7 @@ from hyperclust.graphs import (
     GraphMorphism,
     Hypergraph,
     SizeLimitError,
+    _vertex_profiles,
     build_named,
     canonical_key,
     complete_graph,
@@ -66,6 +68,30 @@ def hypergraphs(draw, max_vertices=5, max_edges=4, max_edge_size=4, pool=None):
             )
             edges[f"e{i + 1}"] = members
     return Hypergraph(names, edges)
+
+
+def traded(graph, first, second, a, b):
+    """``graph`` with edge ``first`` giving vertex ``a`` to edge ``second``
+    for its vertex ``b``.  When the edges have one size, every vertex keeps
+    its edge-size profile."""
+    edges = dict(graph.edges)
+    edges[first] = graph.edges[first] - {a} | {b}
+    edges[second] = graph.edges[second] - {b} | {a}
+    return Hypergraph(graph.vertices, edges)
+
+
+def vertex_trades(graph):
+    """Every way two same-size edges of ``graph`` can trade a vertex."""
+    for first, second in itertools.combinations(graph.edges, 2):
+        left, right = graph.edges[first], graph.edges[second]
+        if len(left) == len(right):
+            for a in sorted(left - right):
+                for b in sorted(right - left):
+                    yield traded(graph, first, second, a, b)
+
+
+def profile_shape(graph):
+    return sorted(Counter(_vertex_profiles(graph).values()).items())
 
 
 @st.composite
@@ -262,6 +288,38 @@ class TestIso:
             assert sorted(mapping.values()) == list(b.vertices)
             images = Counter(frozenset(mapping[v] for v in s) for s in a.edges.values())
             assert images == Counter(b.edges.values())
+
+    def test_iso_matches_incidence_oracle_exhaustively(self):
+        # Every hypergraph on four vertices with four distinct edges of
+        # sizes 2 and 3, against every other; 72 of the pairs agree on
+        # counts and profile classes without being isomorphic.
+        names = ["v1", "v2", "v3", "v4"]
+        subsets = [c for k in (2, 3) for c in itertools.combinations(names, k)]
+        graphs = [
+            Hypergraph(names, {f"e{i + 1}": s for i, s in enumerate(combo)})
+            for combo in itertools.combinations(subsets, 4)
+        ]
+        look_alike = 0
+        for a, b in itertools.combinations(graphs, 2):
+            expected = oracles.incidence_isomorphic(a, b)
+            assert iso_check(a, b)[0] == expected
+            look_alike += not expected and profile_shape(a) == profile_shape(b)
+        assert look_alike == 72
+        # Vertex trades between same-size edges keep every profile.
+        for a in graphs:
+            for b in vertex_trades(a):
+                assert profile_shape(a) == profile_shape(b)
+                assert iso_check(a, b)[0] == oracles.incidence_isomorphic(a, b)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_iso_matches_incidence_oracle_on_vertex_trades(self, data):
+        a = data.draw(hypergraphs(max_vertices=6, max_edges=6))
+        trades = list(vertex_trades(a))
+        assume(trades)
+        b = data.draw(st.sampled_from(trades))
+        assert profile_shape(a) == profile_shape(b)
+        assert iso_check(a, b)[0] == oracles.incidence_isomorphic(a, b)
 
     @given(hypergraphs(max_vertices=5))
     @settings(max_examples=60, deadline=None)

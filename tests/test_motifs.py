@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from hyperclust.graphs import (
     simplex,
     validate_graph_morphism,
 )
+from hyperclust import motifs
 from hyperclust.motifs import (
     BudgetExceededError,
     acyclic_orientation_profile,
@@ -27,6 +29,47 @@ from hyperclust.motifs import (
 
 import oracles
 from test_graphs import hypergraphs, simple_graphs
+
+# Motifs with large automorphism groups, and ones whose automorphisms are
+# easy to get wrong: disconnected, with isolated vertices, with parallel
+# edges.
+SYMMETRIC_MOTIFS = {
+    "E_2": simplex(2),
+    "E_3": simplex(3),
+    "E_4": simplex(4),
+    "E_5": simplex(5),
+    "K_4": complete_graph(4),
+    "C_5": cycle(5),
+    "D": linear_triangle(),
+    "two disjoint edges": Hypergraph("abcd", {"e1": "ab", "e2": "cd"}),
+    "isolated vertices": Hypergraph("abcd", {"e1": "ab"}),
+    "parallel edges": Hypergraph("abc", {"e1": "ab", "e2": "ab", "e3": "bc"}),
+}
+
+# Targets of up to seven vertices that hold many copies of those motifs.
+TARGETS = {
+    "K_5": complete_graph(5),
+    "E_5": simplex(5),
+    "C_5": cycle(5),
+    "D": linear_triangle(),
+    "K_3 + K_4": disjoint_union(complete_graph(3), complete_graph(4)),
+    "mixed": Hypergraph(
+        "abcdefg",
+        {
+            "p1": "ab", "p2": "bc", "p3": "ac", "p4": "cd", "p5": "de",
+            "t1": "abc", "t2": "cde", "t3": "aef", "t4": "bdf",
+            "q1": "abcd", "q2": "defg", "f1": "abcde", "f2": "cdefg",
+        },
+    ),
+}
+
+
+def transversal_product(motif):
+    """|Aut(motif)| as the stabilizer chain of a freshly built plan has it."""
+    plan = motifs._plan.__wrapped__(motif)
+    size = math.prod(len(level) + 1 for level in plan.levels)
+    assert size == plan.group_size
+    return size
 
 
 class TestEnumerate:
@@ -55,7 +98,31 @@ class TestEnumerate:
     def test_budget_trips(self):
         with pytest.raises(BudgetExceededError) as err:
             enumerate_embeddings(path(3), complete_graph(6), budget=10)
-        assert err.value.found >= 0
+        # Ten nodes find seven representatives; P_3 has two automorphisms.
+        assert err.value.found == 14
+
+    def test_budget_counts_representative_nodes(self):
+        # One representative per coset: the increasing placements of E_4's
+        # vertices, 4 + 6 + 4 + 1 = 15 nodes, the fourth of them a leaf
+        # standing for all 24 embeddings.
+        assert len(enumerate_embeddings(simplex(4), simplex(4), budget=15)) == 24
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_embeddings(simplex(4), simplex(4), budget=14)
+        assert err.value.found == 24
+
+    @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS)
+    @pytest.mark.parametrize("motif", SYMMETRIC_MOTIFS.values(), ids=SYMMETRIC_MOTIFS)
+    def test_symmetric_motifs_match_naive_oracle(self, motif, target):
+        ours = [m.map for m in enumerate_embeddings(motif, target)]
+        assert ours == oracles.naive_embeddings(motif, target)
+
+    @given(st.sampled_from(sorted(SYMMETRIC_MOTIFS)),
+           hypergraphs(max_vertices=7, max_edges=6, max_edge_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_motifs_match_naive_oracle_anywhere(self, name, graph):
+        motif = SYMMETRIC_MOTIFS[name]
+        ours = [m.map for m in enumerate_embeddings(motif, graph)]
+        assert ours == oracles.naive_embeddings(motif, graph)
 
     @given(hypergraphs(max_vertices=3, max_edges=2, max_edge_size=3),
            hypergraphs(max_vertices=4, max_edges=3, max_edge_size=3))
@@ -66,6 +133,35 @@ class TestEnumerate:
         ours = [m.map for m in enumerate_embeddings(motif, graph)]
         naive = oracles.naive_embeddings(motif, graph)
         assert ours == naive
+
+
+class TestStabilizerChain:
+    def test_chain_orders_every_small_corpus_graph(self, corpus):
+        small = [g for g in corpus.graphs if len(g.vertices) <= 4]
+        assert len(small) == 434
+        for g in small:
+            assert transversal_product(g) == len(oracles.naive_embeddings(g, g))
+
+    @pytest.mark.parametrize(
+        "motif, size",
+        [(simplex(n), math.factorial(n)) for n in range(1, 8)]
+        + [(cycle(6), 12), (linear_triangle(), 6), (simplex(12), math.factorial(12))],
+        ids=[f"E_{n}" for n in range(1, 8)] + ["C_6", "D", "E_12"],
+    )
+    def test_chain_orders_named_motifs(self, motif, size):
+        assert transversal_product(motif) == size
+
+    def test_chain_never_calls_the_public_search(self, monkeypatch):
+        # A tracer wraps the public function; the chain must not add calls.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain went through enumerate_embeddings")
+
+        monkeypatch.setattr(motifs, "enumerate_embeddings", refuse)
+        assert transversal_product(simplex(6)) == 720
+        assert transversal_product(cycle(6)) == 12
+
+    def test_plans_are_shared_per_motif(self):
+        assert motifs._plan(complete_graph(4)) is motifs._plan(complete_graph(4))
 
 
 class TestExpansion:
