@@ -862,9 +862,10 @@ def _random_equal_parts(bounds, seed, trials):
         universe = []
         for size in range(2, min(n, bounds.max_edge_size) + 1):
             universe.extend(itertools.combinations(names, size))
-        if not universe:
+        top = min(bounds.max_edges, len(universe))
+        if top < 4:
             continue
-        count = rng.randint(4, min(bounds.max_edges, len(universe)))
+        count = rng.randint(4, top)
         combo = rng.sample(universe, count)
         attempted += 1
         edges = {f"e{i + 1}": s for i, s in enumerate(combo)}

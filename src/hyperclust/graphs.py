@@ -8,6 +8,7 @@ serialized output byte-stable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections import Counter, deque
@@ -423,8 +424,13 @@ def canonical_key(graph):
 # ---------------------------------------------------------------------------
 # named builders
 
+@functools.lru_cache(maxsize=128)
 def simplex(n):
-    """One edge covering the whole vertex set v1..vn."""
+    """One edge covering the whole vertex set v1..vn.
+
+    Built once per n: hypergraphs are immutable, and the ``E*`` family asks
+    for the same simplices for every graph it clusters.
+    """
     if n < 1:
         raise ValueError("simplex needs at least one vertex")
     names = [f"v{i}" for i in range(1, n + 1)]

@@ -214,22 +214,15 @@ def _search(plan, graph, sets, index, lower, pins=None, first=False, budget=None
     return found
 
 
-def enumerate_embeddings(motif, graph, budget=None):
-    """All embeddings of ``motif`` into ``graph`` as morphisms, sorted by
-    their image tuple so the order is reproducible.
+def _representatives(motif, graph, budget=None):
+    """One embedding of ``motif`` into ``graph`` per coset f·Aut(motif), as
+    image tuples aligned with ``motif.vertices``, in search order.
 
-    Automorphisms of the motif act freely on its embeddings, so the search
-    looks for one embedding per coset f·Aut(motif): symmetry-breaking
-    constraints ``image[i] < image[j]``, read off a stabilizer chain of
-    Aut(motif), admit exactly one member of each coset.  Each member found
-    is then composed with every product of the chain's transversals to
-    emit its whole coset.  The chain comes from pinned searches of the
-    motif into itself and is kept, with the rest of the per-motif search
-    plan, in a bounded cache.
-
-    ``budget`` caps the number of nodes of the representative search;
-    overruns raise :class:`BudgetExceededError`, whose ``found`` counts the
-    embeddings the representatives found so far stand for.
+    Symmetry-breaking constraints ``image[i] < image[j]``, read off a
+    stabilizer chain of Aut(motif), admit exactly one member of each coset.
+    ``budget`` caps the search's nodes as in :func:`enumerate_embeddings`.
+    This never calls :func:`enumerate_embeddings`, so a wrapper installed on
+    that function counts no calls made from here.
     """
     plan = _plan(motif)
     if len(plan.order) > len(graph.vertices):
@@ -239,8 +232,29 @@ def enumerate_embeddings(motif, graph, budget=None):
     if any(have.count(size) < count for size, count in plan.sizes):
         return []
     found = _search(plan, graph, sets, _edge_index(sets), plan.lower, budget=budget)
-    images = [tuple(rep[p] for p in plan.slots) for rep in found]
-    for level in plan.levels:
+    return [tuple(rep[p] for p in plan.slots) for rep in found]
+
+
+def enumerate_embeddings(motif, graph, budget=None):
+    """All embeddings of ``motif`` into ``graph`` as morphisms, sorted by
+    their image tuple so the order is reproducible.
+
+    Automorphisms of the motif act freely on its embeddings, so the search
+    looks for one embedding per coset f·Aut(motif) (see
+    :func:`_representatives`), and each one found is composed with every
+    product of the stabilizer chain's transversals to emit its whole coset.
+    The chain comes from pinned searches of the motif into itself and is
+    kept, with the rest of the per-motif search plan, in a bounded cache.
+    Callers that need only images or edge images can take the
+    representatives alone; this function is for callers that need every
+    map.
+
+    ``budget`` caps the number of nodes of the representative search;
+    overruns raise :class:`BudgetExceededError`, whose ``found`` counts the
+    embeddings the representatives found so far stand for.
+    """
+    images = _representatives(motif, graph, budget)
+    for level in _plan(motif).levels:
         images.extend([move(image) for image in images for move in level])
     images.sort()
     names = motif.vertices
@@ -304,10 +318,24 @@ def motif_expansion(motifs, graph, budget=None):
 
 def expansion_edge_sets(motifs, graph, budget=None):
     """Just the distinct edge vertex sets of the expansion; cheaper than
-    building the full expansion when only overlaps matter."""
+    building the full expansion when only overlaps matter.
+
+    A motif whose only distinct edge set is its whole vertex set is ``E_n``,
+    possibly with parallel copies of that edge.  Every embedding of it sends
+    its one edge onto a target n-edge, and every target n-edge is reached by
+    n! embeddings, so its images are exactly the graph's distinct edge sets
+    of size n.  Those are added directly, with no search; ``budget`` counts
+    search nodes, so this path never trips it.  Every other motif goes
+    through :func:`enumerate_embeddings`.
+    """
     cooked = _check_motifs(motifs)
+    targets = graph.edge_sets()
     sets = set()
     for motif in cooked:
+        if motif.edge_sets() == {motif.vertex_set}:
+            n = len(motif.vertices)
+            sets.update(s for s in targets if len(s) == n)
+            continue
         for emb in enumerate_embeddings(motif, graph, budget=budget):
             sets.add(frozenset(emb.map.values()))
     return frozenset(sets)

@@ -35,7 +35,9 @@ from .graphs import (
     simplex,
     triangle_with_tail,
 )
-from .motifs import enumerate_embeddings, expansion_edge_sets
+# enumerate_embeddings is no longer called here, but stays importable from
+# this module: perfbench's tracer wraps it at this seam.
+from .motifs import _representatives, enumerate_embeddings, expansion_edge_sets  # noqa: F401
 from .partitions import PartitionedSet, remove_spurious
 
 # Family markers a MotifScheme may carry instead of concrete motifs; they
@@ -112,13 +114,16 @@ def materialize_motifs(entries, graph):
 
 def _shared_edge_labels(motif, graph):
     # Distinct embedding image -> the image vertex sets of the motif's edges,
-    # collected across all embeddings with that image.
-    span = frozenset(motif.vertices)
+    # collected across all embeddings with that image.  One embedding per
+    # coset f·Aut(motif) is enough: an automorphism a permutes the motif's
+    # edge sets, so f and f∘a give the same image and the same label set.
+    names = motif.vertices
+    edges = motif.edge_sets()
     labels = {}
-    for emb in enumerate_embeddings(motif, graph):
-        bag = labels.setdefault(emb.image(span), set())
-        for s in motif.edges.values():
-            bag.add(emb.image(s))
+    for image in _representatives(motif, graph):
+        at = dict(zip(names, image))
+        bag = labels.setdefault(frozenset(image), set())
+        bag.update(frozenset(at[v] for v in s) for s in edges)
     return labels
 
 

@@ -140,15 +140,22 @@ def naive_overlap_parts(family, k):
     )
 
 
-def naive_shared_edge_parts(motif, graph):
-    """Shared-edge parts from the definition: one copy per distinct image of
-    an embedding, labelled with its edge images; copies whose labels meet
-    are joined."""
+def naive_shared_edge_labels(motif, graph):
+    """Distinct embedding image -> the image vertex sets of the motif's
+    edges, collected over every embedding with that image."""
     labels = {}
     for mapping in naive_embeddings(motif, graph):
         bag = labels.setdefault(frozenset(mapping.values()), set())
         for s in motif.edges.values():
             bag.add(frozenset(mapping[v] for v in s))
+    return labels
+
+
+def naive_shared_edge_parts(motif, graph):
+    """Shared-edge parts from the definition: one copy per distinct image of
+    an embedding, labelled with its edge images; copies whose labels meet
+    are joined."""
+    labels = naive_shared_edge_labels(motif, graph)
     images = sorted(labels, key=lambda s: tuple(sorted(s)))
     return _bfs_unions(
         images, lambda a, b: bool(labels[images[a]] & labels[images[b]])

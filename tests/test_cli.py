@@ -526,6 +526,17 @@ class TestSearch:
         assert out == ""
         assert f"argument {flag}: must be at least {low}, got {value}" in err
 
+    @pytest.mark.parametrize("max_edges", ["0", "2", "3"])
+    def test_random_lane_skips_draws_below_four_edges(self, capsys, max_edges):
+        # The random lane draws 4 or more edges, so no draw fits these bounds.
+        code, out, err = run_cli(
+            capsys, "search", "--max-vertices", "5", "--max-edges", max_edges
+        )
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["outcome"] == "exhausted"
+        assert data["trials"] == 0
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "search", "--seed", "5")
         _, second, _ = run_cli(capsys, "search", "--seed", "5")

@@ -332,6 +332,11 @@ class TestIso:
 
 
 class TestBuilders:
+    def test_simplices_are_built_once(self):
+        names = [f"v{i}" for i in range(1, 6)]
+        assert simplex(5) is simplex(5)
+        assert simplex(5) == Hypergraph(names, {"e1": names})
+
     def test_families(self):
         assert len(simplex(4).edges) == 1
         assert len(complete_graph(4).edges) == 6

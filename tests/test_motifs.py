@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperclust.graphs import (
     Hypergraph,
+    build_named,
     complete_graph,
     cycle,
     disjoint_union,
@@ -26,6 +28,7 @@ from hyperclust.motifs import (
     is_spanned,
     motif_expansion,
 )
+from hyperclust.schemes import MotifScheme, cluster
 
 import oracles
 from test_graphs import hypergraphs, simple_graphs
@@ -62,6 +65,24 @@ TARGETS = {
         },
     ),
 }
+
+
+# Simplices, with and without a parallel copy of their edge, which take the
+# closed-form image path, and a list mixing one with a motif that searches.
+IMAGE_MOTIF_LISTS = {
+    **{f"E_{n}": [simplex(n)] for n in range(1, 7)},
+    "E_3 doubled": [Hypergraph("abc", {"e1": "abc", "e2": "abc"})],
+    "E_2 and K_3": [simplex(2), complete_graph(3)],
+}
+
+
+def embedding_images(motif_list, graph):
+    """Distinct embedding images of the motifs, from every embedding."""
+    return {
+        frozenset(emb.map.values())
+        for motif in motif_list
+        for emb in enumerate_embeddings(motif, graph)
+    }
 
 
 def transversal_product(motif):
@@ -208,6 +229,35 @@ class TestExpansion:
         motifs = [complete_graph(2), simplex(3)]
         g = linear_triangle()
         assert expansion_edge_sets(motifs, g) == motif_expansion(motifs, g).edge_sets()
+
+    @pytest.mark.parametrize("motif_list", IMAGE_MOTIF_LISTS.values(), ids=IMAGE_MOTIF_LISTS)
+    def test_images_match_the_embeddings_on_small_corpus_graphs(self, corpus, motif_list):
+        small = [g for g in corpus.graphs if len(g.vertices) <= 4]
+        assert len(small) == 434
+        for g in small:
+            assert expansion_edge_sets(motif_list, g) == embedding_images(motif_list, g)
+
+    @given(st.sampled_from(sorted(IMAGE_MOTIF_LISTS)), hypergraphs())
+    @settings(max_examples=80, deadline=None)
+    def test_images_match_the_embeddings_anywhere(self, name, graph):
+        found = expansion_edge_sets(IMAGE_MOTIF_LISTS[name], graph)
+        assert found == embedding_images(IMAGE_MOTIF_LISTS[name], graph)
+
+    def test_simplices_never_search(self, monkeypatch):
+        # E_n's images are read off the target's n-edges; building the n!
+        # embeddings of E_12 alone would take hours.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simplex went through enumerate_embeddings")
+
+        monkeypatch.setattr(motifs, "enumerate_embeddings", refuse)
+        rng = random.Random(8)
+        names = [f"x{i}" for i in range(20)]
+        mixed = {f"e{i}": rng.sample(names, 2 + i % 6) for i in range(60)}
+        mixed["big"] = rng.sample(names, 8)
+        for g in (build_named("E_12"), build_named("H_6"), Hypergraph(names, mixed)):
+            for k in (1, 2):
+                parts = cluster(MotifScheme(("E*",), k), g).parts
+                assert parts == oracles.naive_overlap_parts(g, k)
 
     def test_single_edge_family_recovers_edge_sets(self):
         # expanding along one all-vertex edge of every present size keeps

@@ -126,6 +126,14 @@ class TestRepresentableCluster:
         assert cluster(MotifScheme(("E*",), k), g).elements == g.vertices
 
 
+SHARED_EDGE_MOTIFS = {
+    "linear_triangle": linear_triangle(),
+    "K_3": complete_graph(3),
+    "P_3": path(3),
+    "P_3 doubled": Hypergraph("abc", {"e1": "ab", "e2": "ab", "e3": "bc"}),
+}
+
+
 class TestSharedEdgeScheme:
     def test_copy_graph_of_corner_pair_has_no_edges(self):
         d = linear_triangle()
@@ -180,11 +188,7 @@ class TestSharedEdgeScheme:
         report = validate_shared_edge_motif(complete_graph(3))
         assert not report.ok
 
-    @pytest.mark.parametrize(
-        "motif",
-        [linear_triangle(), complete_graph(3), path(3)],
-        ids=["linear_triangle", "K_3", "P_3"],
-    )
+    @pytest.mark.parametrize("motif", SHARED_EDGE_MOTIFS.values(), ids=SHARED_EDGE_MOTIFS)
     @given(
         g=st.one_of(
             simple_graphs(), hypergraphs(max_vertices=6, max_edges=8, max_edge_size=3)
@@ -199,6 +203,21 @@ class TestSharedEdgeScheme:
     def test_matches_naive_oracle(self, motif, g):
         parts = cluster(SharedEdgeScheme(motif), g).parts
         assert parts == oracles.naive_shared_edge_parts(motif, g)
+
+    @pytest.mark.parametrize("motif", SHARED_EDGE_MOTIFS.values(), ids=SHARED_EDGE_MOTIFS)
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(4), cycle(5), linear_triangle(), corner_glued_pair(linear_triangle()),
+         edge_glued_chain(linear_triangle(), 2),
+         Hypergraph("abcde", {"p": "ab", "q": "ab", "r": "bc", "s": "ac", "t": "cde"})],
+        ids=["K_4", "C_5", "D", "corner", "F_2", "mixed"],
+    )
+    def test_labels_match_naive_oracle(self, motif, g):
+        # Images reached by several cosets (P_3 in K_3 has three) must
+        # collect the edge images of all of them.
+        line = shared_edge_graph(motif, g)
+        labels = {line.members[name]: label for name, label in line.labels.items()}
+        assert labels == oracles.naive_shared_edge_labels(motif, g)
 
 
 class TestComponentScheme:
