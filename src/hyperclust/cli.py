@@ -370,6 +370,13 @@ def _bench_graph(family, n, cap, seed):
         return _pair_graph(list(names.values()), pairs)
     if family == "path":
         return path(n)
+    if family == "hub":
+        # One hub joined to every vertex of a path; "hub" sorts before the
+        # path's "v" names, so the hub is placed first.
+        spokes = path(n)
+        edges = dict(spokes.edges)
+        edges.update((f"hub-{v}", ("hub", v)) for v in spokes.vertices)
+        return Hypergraph(("hub",) + spokes.vertices, edges)
     raise ValueError(f"unknown bench family: {family!r}")
 
 
@@ -382,9 +389,14 @@ def run_bench(args):
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:
         raise ValueError("bench needs at least one size")
+    graphs = [_bench_graph(args.family, n, args.cap, args.seed) for n in sizes]
+    if len({len(graph.vertices) for graph in graphs}) < len(graphs):
+        # A slope needs distinct sizes; grid sides round n down to a square.
+        raise ValueError(
+            f"--sizes {args.sizes} gives two {args.family} graphs of the same size"
+        )
     rows = []
-    for n in sizes:
-        graph = _bench_graph(args.family, n, args.cap, args.seed)
+    for graph in graphs:
         best = None
         count = 0
         for _ in range(args.repeat):
@@ -404,15 +416,16 @@ def run_bench(args):
 
 def fit_count_slope(rows):
     """Least-squares slope of log(count) against log(n), using only sizes
-    with a nonzero count; zero everywhere means slope zero."""
-    import numpy
+    with a nonzero count; fewer than two distinct such sizes means slope
+    zero."""
+    # Imported here: only bench fits, and statistics takes milliseconds to load.
+    from statistics import linear_regression
 
-    xs = [n for n, count, _ in rows if count > 0]
-    ys = [count for _, count, _ in rows if count > 0]
-    if len(xs) < 2:
+    xs = [math.log(n) for n, count, _ in rows if count > 0]
+    ys = [math.log(count) for _, count, _ in rows if count > 0]
+    if len(set(xs)) < 2:
         return 0.0
-    slope = numpy.polyfit(numpy.log(xs), numpy.log(ys), 1)[0]
-    return float(slope)
+    return linear_regression(xs, ys).slope
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +531,7 @@ def build_parser():
     p = sub.add_parser("bench", help="embedding-count scaling benchmark")
     p.add_argument("--motif", required=True)
     p.add_argument(
-        "--family", choices=("random", "grid", "path"), default="random"
+        "--family", choices=("random", "grid", "path", "hub"), default="random"
     )
     p.add_argument("--cap", type=int, default=2, help="degeneracy cap")
     p.add_argument("--sizes", required=True, help="comma-separated n values")

@@ -12,6 +12,7 @@ import functools
 import itertools
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 from .graphs import GraphMorphism, Hypergraph, SizeLimitError, independence_number
@@ -20,10 +21,13 @@ from .graphs import GraphMorphism, Hypergraph, SizeLimitError, independence_numb
 class BudgetExceededError(Exception):
     """The embedding search ran past its node budget.
 
-    ``found`` counts the embeddings accounted for before the search gave
-    up.  Each representative found stands for its whole Aut(motif) coset, so
-    this is the number of representatives times the motif's automorphism
-    count.
+    A node is a candidate vertex that passes the injectivity, order and
+    profile tests and every closing-edge test, so a budget goes further for
+    motifs with closing edges, such as K_3 and C_n, than one that counted
+    candidates before those tests.  ``found`` counts the embeddings
+    accounted for before the search gave up.  Each representative found
+    stands for its whole Aut(motif) coset, so this is the number of
+    representatives times the motif's automorphism count.
     """
 
     def __init__(self, budget, found):
@@ -55,33 +59,31 @@ def _search_order(motif):
     return order
 
 
-def _edge_index(sets):
-    # (vertex, edge size) -> the distinct edge sets of that size through it.
-    index = {}
-    for s in sets:
-        size = len(s)
-        for v in s:
-            index.setdefault((v, size), []).append(s)
-    return index
-
-
 class _Plan:
     """How to search for one motif, computed once per motif.
 
-    Position i places motif vertex ``order[i]``.  ``anchors[i]`` is None or
-    ``(size, placed)``: a motif edge of that size through the vertex whose
-    earlier positions ``placed`` are already mapped, so candidates come from
-    the target edges through their images.  ``closes[i]`` lists the other
-    edges (as position tuples) whose last vertex is placed at i, and
-    ``needs[i]`` the ``(edge size, count)`` profile a target vertex must
-    meet.  ``lower[i]`` lists the earlier positions whose images the image
-    of i must exceed, and ``levels`` the stabilizer chain's non-identity
-    transversal elements, as getters on image tuples in sorted-vertex
-    order; ``slots`` turns a position-ordered image tuple into that order.
+    Position i places motif vertex ``order[i]``.  ``requests[i]`` lists its
+    completion requests ``(size, placed)``: each asks that the images of the
+    earlier positions ``placed`` and the candidate lie together in one
+    distinct target edge of that size.  The first is the anchor, a motif
+    edge through the vertex with the most positions already placed; the
+    rest are the edges whose last vertex is placed at i, so the candidate
+    closes them and ``placed`` is the rest of the edge.  ``needs[i]`` is the
+    ``(edge size, count)`` profile a target vertex must meet, and
+    ``kinds[i]`` numbers the distinct profiles, so positions that share one
+    share the search's tables.  ``lower[i]`` lists the earlier positions
+    whose images the image of i must exceed, and ``levels`` the stabilizer
+    chain's non-identity transversal elements, as getters on image tuples in
+    sorted-vertex order; ``slots`` turns a position-ordered image tuple into
+    that order.
+
+    A search node is a candidate that passes the injectivity, order and
+    profile tests and every closing-edge test: the requests prune the
+    candidates before any is counted.
     """
 
     __slots__ = (
-        "order", "sizes", "anchors", "closes", "needs", "slots",
+        "order", "sizes", "requests", "needs", "kinds", "slots",
         "lower", "levels", "group_size",
     )
 
@@ -94,20 +96,21 @@ def _plan(motif):
     plan = _Plan()
     plan.order = order
     plan.sizes = tuple(sorted(Counter(len(e) for e in edges).items()))
-    anchors, closes, needs = [], [], []
+    requests, needs = [], []
     for i in range(len(order)):
         mine = [e for e in edges if i in e]
         needs.append(tuple(sorted(Counter(len(e) for e in mine).items())))
         anchored = [e for e in mine if e[0] < i]
         # Most placed vertices first, then the fewest left to place.
         anchor = max(anchored, key=lambda e: (sum(p < i for p in e), -len(e)), default=None)
-        if anchor is None:
-            anchors.append(None)
-        else:
-            anchors.append((len(anchor), tuple(p for p in anchor if p < i)))
-        # Candidates from a closing anchor already complete it to an edge.
-        closes.append(tuple(e for e in mine if e[-1] == i and e != anchor))
-    plan.anchors, plan.closes, plan.needs = tuple(anchors), tuple(closes), tuple(needs)
+        # A one-vertex edge has nothing placed to complete; the profile test
+        # already asks that the candidate be an edge of its own.
+        wanted = [anchor] if anchor else []
+        wanted += [e for e in mine if e[-1] == i and e != anchor and len(e) > 1]
+        requests.append(tuple((len(e), tuple(p for p in e if p < i)) for e in wanted))
+    plan.requests, plan.needs = tuple(requests), tuple(needs)
+    kinds = {}
+    plan.kinds = tuple(kinds.setdefault(need, len(kinds)) for need in needs)
     plan.slots = tuple(position[v] for v in motif.vertices)
     plan.lower, plan.levels, plan.group_size = _stabilizer_chain(plan, motif)
     return plan
@@ -130,7 +133,6 @@ def _stabilizer_chain(plan, motif):
     order = plan.order
     n = len(order)
     sets = motif.edge_sets()
-    index = _edge_index(sets)
     position = {v: i for i, v in enumerate(order)}
     sorted_at = {v: k for k, v in enumerate(motif.vertices)}
     unconstrained = ((),) * n
@@ -144,7 +146,7 @@ def _stabilizer_chain(plan, motif):
             if plan.needs[position[w]] != plan.needs[i]:
                 continue
             pins[i] = w
-            hit = _search(plan, motif, sets, index, unconstrained, pins, first=True)
+            hit = _search(plan, motif, sets, unconstrained, pins, first=True)
             if hit:
                 lower[position[w]].append(i)
                 image = dict(zip(order, hit[0]))
@@ -155,62 +157,125 @@ def _stabilizer_chain(plan, motif):
     return tuple(map(tuple, lower)), tuple(levels), group_size
 
 
-def _search(plan, graph, sets, index, lower, pins=None, first=False, budget=None):
+def _search(plan, graph, sets, lower, pins=None, first=False, budget=None):
     """The search kernel: position-ordered image tuples of the embeddings
     of the plan's motif into ``graph`` whose image at i exceeds the images
     at ``lower[i]`` and equals ``pins[i]`` where pinned; only the first one
-    found when ``first``.  ``sets`` and ``index`` are the graph's distinct
-    edge sets and their :func:`_edge_index`.  Each candidate that passes the
-    injectivity, order and profile tests is one node against ``budget``.
+    found when ``first``.  ``sets`` are the graph's distinct edge sets.
+
+    An iterative depth-first walk with one candidate cursor per depth.  The
+    candidates for position i are the intersection of the vertex sets of
+    its completion requests (see :class:`_Plan`), taken smallest set first:
+    that set is walked in ascending vertex order from just above the largest
+    image at ``lower[i]``, and a candidate stays if the other sets hold it.
+    The sets come from tables filled lazily per call and already filtered by
+    the position's profile test, so each is built once per call from the
+    edges through its placed images, and embeddings come out in the same
+    order as from trying every vertex in turn.
+
+    A node is a candidate that passes the injectivity, order and profile
+    tests and every closing-edge test; each counts against ``budget``.
     """
-    anchors, closes, needs = plan.anchors, plan.closes, plan.needs
-    n = len(anchors)
+    requests, needs, kinds = plan.requests, plan.needs, plan.kinds
+    n = len(requests)
+    if n == 0:
+        # A motif with no vertices has one embedding, the empty map.
+        return [()]
+    # (vertex, edge size) -> the distinct edge sets of that size through it.
+    through = {}
+    for s in sets:
+        size = len(s)
+        for v in s:
+            through.setdefault((v, size), []).append(s)
+    # Filled as the search asks.  ``table[kind]`` holds the vertices meeting
+    # that profile kind as (ascending tuple, set), and ``table[kind, size,
+    # *images]`` those of them that complete the images to a size-edge, as
+    # an ascending tuple.
+    table = {}
     image = [None] * n
+    image_at = image.__getitem__
+
+    def fitting(i):
+        fits = graph.vertices
+        for size, count in needs[i]:
+            fits = [w for w in fits if len(through.get((w, size), ())) >= count]
+        entry = table[kinds[i]] = (tuple(fits), set(fits))
+        return entry
+
+    def completions(i, key):
+        size, held = key[1], key[2:]
+        edges = through.get((held[0], size), ())
+        if len(held) > 1:
+            edges = [s for s in edges if s.issuperset(held)]
+        members = set().union(*edges)
+        members.difference_update(held)
+        members.intersection_update((table.get(kinds[i]) or fitting(i))[1])
+        ranked = table[key] = tuple(sorted(members))
+        return ranked
+
+    def candidates(i):
+        reqs = requests[i]
+        if not reqs:
+            seq = (table.get(kinds[i]) or fitting(i))[0]
+            others = ()
+        else:
+            kind = kinds[i]
+            entries = []
+            for size, placed in reqs:
+                if len(placed) == 1:
+                    key = (kind, size, image[placed[0]])
+                else:
+                    key = (kind, size, *map(image_at, placed))
+                ranked = table.get(key)
+                if ranked is None:
+                    ranked = completions(i, key)
+                entries.append(ranked)
+            if len(entries) > 1:
+                entries.sort(key=len)
+            seq = entries[0]
+            others = entries[1:]
+        low = lower[i]
+        if low:
+            floor = image[low[0]] if len(low) == 1 else max(map(image_at, low))
+            seq = seq[bisect_right(seq, floor):]
+        for other in others:
+            seq = [
+                w for w in seq
+                if (k := bisect_left(other, w)) < len(other) and other[k] == w
+            ]
+        if pins and i in pins:
+            return iter((pins[i],) if pins[i] in seq else ())
+        return iter(seq)
+
     used = set()
+    last = n - 1
     found = []
     nodes = 0
-
-    def extend(i):
-        nonlocal nodes
-        if i == n:
-            found.append(tuple(image))
-            return first
-        anchor = anchors[i]
-        if anchor is None:
-            candidates = graph.vertices
-        else:
-            size, placed = anchor
-            through = index.get((image[placed[0]], size), ())
-            if len(placed) > 1:
-                held = {image[p] for p in placed}
-                through = [s for s in through if held <= s]
-            candidates = sorted(set().union(*through) - used)
-        if pins and i in pins:
-            candidates = [pins[i]] if pins[i] in candidates else []
-        need, closing = needs[i], closes[i]
-        floor = max([image[j] for j in lower[i]]) if lower[i] else None
-        for w in candidates:
-            if w in used or (floor is not None and w <= floor):
+    i = 0
+    cursors = [candidates(0)]
+    while cursors:
+        for w in cursors[-1]:
+            if w in used:
                 continue
-            for size, count in need:
-                if len(index.get((w, size), ())) < count:
-                    break
-            else:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise BudgetExceededError(budget, len(found) * plan.group_size)
-                image[i] = w
-                if closing and not all(
-                    frozenset([image[p] for p in e]) in sets for e in closing
-                ):
-                    continue
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                used.discard(w)
-        return False
-
-    extend(0)
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(budget, len(found) * plan.group_size)
+            image[i] = w
+            if i == last:
+                found.append(tuple(image))
+                if first:
+                    return found
+                continue
+            used.add(w)
+            i += 1
+            cursors.append(candidates(i))
+            break
+        else:
+            # Position i is exhausted: step back and free the image before it.
+            cursors.pop()
+            i -= 1
+            if i >= 0:
+                used.discard(image[i])
     return found
 
 
@@ -228,11 +293,12 @@ def _representatives(motif, graph, budget=None):
     if len(plan.order) > len(graph.vertices):
         return []
     sets = graph.edge_sets()
-    have = [len(s) for s in sets]
-    if any(have.count(size) < count for size, count in plan.sizes):
-        return []
-    found = _search(plan, graph, sets, _edge_index(sets), plan.lower, budget=budget)
-    return [tuple(rep[p] for p in plan.slots) for rep in found]
+    have = list(map(len, sets))
+    for size, count in plan.sizes:
+        if have.count(size) < count:
+            return []
+    found = _search(plan, graph, sets, plan.lower, budget=budget)
+    return [tuple([rep[p] for p in plan.slots]) for rep in found]
 
 
 def enumerate_embeddings(motif, graph, budget=None):
@@ -249,11 +315,15 @@ def enumerate_embeddings(motif, graph, budget=None):
     representatives alone; this function is for callers that need every
     map.
 
-    ``budget`` caps the number of nodes of the representative search;
-    overruns raise :class:`BudgetExceededError`, whose ``found`` counts the
-    embeddings the representatives found so far stand for.
+    ``budget`` caps the number of nodes of the representative search: the
+    candidates that pass the injectivity, order and profile tests and
+    close every motif edge they complete.  Overruns raise
+    :class:`BudgetExceededError`, whose ``found`` counts the embeddings the
+    representatives found so far stand for.
     """
     images = _representatives(motif, graph, budget)
+    if not images:
+        return []
     for level in _plan(motif).levels:
         images.extend([move(image) for image in images for move in level])
     images.sort()

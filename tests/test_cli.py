@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -593,10 +594,37 @@ class TestBench:
         assert out == ""
         assert "--repeat" in err
 
+    @pytest.mark.parametrize(
+        "family, sizes", [("random", "100,100"), ("grid", "100,120")]
+    )
+    def test_repeated_sizes_are_refused(self, capsys, family, sizes):
+        # A fit over one distinct graph size has no slope to report.
+        code, out, err = run_cli(
+            capsys, "bench", "--motif", "P_3", "--family", family, "--sizes", sizes,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--sizes" in err
+
+    def test_hub_family_counts_its_triangles(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--motif", "K_3", "--family", "hub",
+            "--sizes", "10,20",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        # The hub and a path on n vertices close n - 1 triangles, 6 maps each.
+        assert lines[1].startswith("11,54,")
+        assert lines[2].startswith("21,114,")
+
     def test_fit_count_slope(self):
         assert fit_count_slope([(10, 100, 0.0), (100, 10000, 0.0)]) == pytest.approx(2.0)
         assert fit_count_slope([(10, 0, 0.0), (100, 0, 0.0)]) == 0.0
         assert fit_count_slope([(10, 5, 0.0)]) == 0.0
+        assert fit_count_slope([(10, 5, 0.0), (10, 7, 0.0)]) == 0.0
+        # The least-squares line through three points that are not collinear.
+        rows = [(1, 1, 0.0), (math.e, math.e, 0.0), (math.e ** 2, math.e ** 4, 0.0)]
+        assert fit_count_slope(rows) == pytest.approx(2.0)
 
 
 class TestErrorPaths:

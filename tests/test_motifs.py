@@ -18,6 +18,7 @@ from hyperclust.graphs import (
     validate_graph_morphism,
 )
 from hyperclust import motifs
+from hyperclust.cli import _bench_graph
 from hyperclust.motifs import (
     BudgetExceededError,
     acyclic_orientation_profile,
@@ -47,6 +48,13 @@ SYMMETRIC_MOTIFS = {
     "two disjoint edges": Hypergraph("abcd", {"e1": "ab", "e2": "cd"}),
     "isolated vertices": Hypergraph("abcd", {"e1": "ab"}),
     "parallel edges": Hypergraph("abc", {"e1": "ab", "e2": "ab", "e3": "bc"}),
+    # The vertex placed first carries a one-vertex edge.
+    "one-vertex edge": Hypergraph("abc", {"e1": "b", "e2": "ab", "e3": "bc"}),
+    # All four triples of four vertices: the last vertex placed closes two
+    # 3-edges over two placed vertices each.
+    "all triples of four": Hypergraph(
+        "abcd", {"e1": "abc", "e2": "abd", "e3": "acd", "e4": "bcd"}
+    ),
 }
 
 # Targets of up to seven vertices that hold many copies of those motifs.
@@ -154,6 +162,27 @@ class TestEnumerate:
         ours = [m.map for m in enumerate_embeddings(motif, graph)]
         naive = oracles.naive_embeddings(motif, graph)
         assert ours == naive
+
+
+class TestHubGraph:
+    """One hub joined to every vertex of a path on n vertices: degeneracy 2
+    and 6(n - 1) triangle embeddings, so the search should do linear work.
+    A search that filtered the hub's whole neighbourhood at every extension
+    visits about n^2 / 2 nodes before its closing test."""
+
+    @pytest.mark.parametrize(
+        "motif, count", [(complete_graph(3), 6 * 999), (complete_graph(4), 0)],
+        ids=["K_3", "K_4"],
+    )
+    def test_search_work_is_linear(self, motif, count):
+        graph = _bench_graph("hub", 1000, 0, 0)
+        found = enumerate_embeddings(motif, graph, budget=4 * len(graph.vertices))
+        assert len(found) == count
+
+    def test_the_hub_is_placed_first(self):
+        graph = _bench_graph("hub", 10, 0, 0)
+        assert graph.vertices[0] == "hub"
+        assert len(graph.vertices) == 11 and len(graph.edges) == 19
 
 
 class TestStabilizerChain:
