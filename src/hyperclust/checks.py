@@ -19,7 +19,7 @@ import os
 import pathlib
 import random
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .components import (
     _line_graph_over,
@@ -35,7 +35,6 @@ from .graphs import (
     SizeLimitError,
     canonical_key,
     graph_distance,
-    hypergraph_from_json,
     hypergraph_to_json,
     iso_check,
     restrict,
@@ -120,17 +119,21 @@ def _graph_sort_key(graph):
 
 
 def _enumerate_hypergraph_classes(bounds):
+    # Candidates are assembled with Hypergraph._make from parts built once
+    # per n: the names (already in sorted order), the subsets as frozensets,
+    # and per edge count the ids in Hypergraph's order, where "e10" sorts
+    # before "e2".
     out = []
     seen = set()
     for n in range(bounds.max_vertices + 1):
-        names = _vertex_names(n)
+        names = tuple(_vertex_names(n))
         subsets = []
         for size in range(1, min(n, bounds.max_edge_size) + 1):
-            subsets.extend(itertools.combinations(names, size))
+            subsets.extend(map(frozenset, itertools.combinations(names, size)))
         for count in range(bounds.max_edges + 1):
+            slots = sorted((f"e{i + 1}", i) for i in range(count))
             for combo in itertools.combinations_with_replacement(subsets, count):
-                edges = {f"e{i + 1}": members for i, members in enumerate(combo)}
-                graph = Hypergraph(names, edges)
+                graph = Hypergraph._make(names, {eid: combo[i] for eid, i in slots})
                 key = canonical_key(graph)
                 if key not in seen:
                     seen.add(key)
@@ -181,17 +184,44 @@ def _cache_path(bounds):
     return _cache_dir() / f"corpus-{digest}.jsonl"
 
 
+def _cached_graph(data):
+    # One graph line as _store_cached_graphs writes it, assembled without
+    # normalising.  Vertices and edge ids must be strictly ascending strings
+    # and members among the vertices; any other form raises ValueError.
+    vertices, rows = data["vertices"], data["edges"]
+    edges = {row["id"]: frozenset(row["vertices"]) for row in rows}
+    ids = list(edges)
+    known = frozenset(vertices)
+    if not (
+        sorted(known) == vertices
+        and ids == sorted(ids)
+        and len(ids) == len(rows)
+        and set(map(type, itertools.chain(vertices, ids))) <= {str}
+        and known.issuperset(itertools.chain.from_iterable(edges.values()))
+    ):
+        raise ValueError("cached graph is not in normal form")
+    return Hypergraph._make(tuple(vertices), edges)
+
+
 def _load_cached_graphs(bounds):
-    """The cached graphs, or ``None`` unless the file is whole: its last
-    line counts the graph lines before it, so an empty or cut-short file is
-    rebuilt rather than read as a smaller corpus."""
+    """The cached graphs, or ``None`` unless the file is whole and every
+    graph line is in normal form; the caller then rebuilds the file.
+
+    The last line counts the graph lines before it, so an empty or
+    cut-short file is not read as a smaller corpus.  A graph line must list
+    its vertices and its edge ids as strictly ascending strings, the order
+    :class:`Hypergraph` keeps them in, and each edge's members among those
+    vertices.  Such a line is assembled with ``Hypergraph._make`` and equals
+    what ``hypergraph_from_json`` builds from it; a line in any other form
+    was not written by this version, even if it describes a hypergraph.
+    """
     try:
         lines = _cache_path(bounds).read_text().splitlines()
         footer = json.loads(lines[-1]) if lines else None
         if footer != {"graphs": len(lines) - 1}:
             return None
-        return [hypergraph_from_json(json.loads(line)) for line in lines[:-1]]
-    except (OSError, ValueError, KeyError):
+        return [_cached_graph(json.loads(line)) for line in lines[:-1]]
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
@@ -359,16 +389,19 @@ class CheckReport:
 
     ``counterexamples`` is a tuple of JSON-ready dicts, each self-contained:
     replaying the failing instance needs nothing beyond the entry itself.
+    ``bounds`` are the :class:`CorpusBounds` the corpus was built under, so
+    a pass states how far it reaches.
     """
 
-    __slots__ = ("check", "schemes", "passed", "statistics", "counterexamples")
+    __slots__ = ("check", "schemes", "passed", "statistics", "counterexamples", "bounds")
 
-    def __init__(self, check, schemes, passed, statistics, counterexamples):
+    def __init__(self, check, schemes, passed, statistics, counterexamples, bounds):
         self.check = check
         self.schemes = tuple(schemes)
         self.passed = bool(passed)
         self.statistics = dict(statistics)
         self.counterexamples = tuple(counterexamples)
+        self.bounds = bounds
 
     def __repr__(self):
         verdict = "pass" if self.passed else "fail"
@@ -387,6 +420,7 @@ class CheckReport:
             "verdict": "pass" if self.passed else "fail",
             "statistics": statistics,
             "counterexamples": shown,
+            "bounds": asdict(self.bounds),
         }
 
 
@@ -427,7 +461,7 @@ def check_excisive(scheme, corpus, cache=None):
         "failures": len(bad),
     }
     return CheckReport(
-        "excisive", [scheme_label(scheme)], not bad, statistics, bad
+        "excisive", [scheme_label(scheme)], not bad, statistics, bad, corpus.bounds
     )
 
 
@@ -457,7 +491,7 @@ def check_functorial(scheme, corpus, cache=None):
         "failures": len(bad),
     }
     return CheckReport(
-        "functorial", [scheme_label(scheme)], not bad, statistics, bad
+        "functorial", [scheme_label(scheme)], not bad, statistics, bad, corpus.bounds
     )
 
 
@@ -480,6 +514,7 @@ def check_refines(finer_scheme, coarser_scheme, corpus, cache=None):
         not bad,
         statistics,
         bad,
+        corpus.bounds,
     )
 
 
@@ -506,6 +541,7 @@ def check_scheme_equal(first_scheme, second_scheme, corpus, cache=None):
         not bad,
         statistics,
         bad,
+        corpus.bounds,
     )
 
 
@@ -554,7 +590,7 @@ def hull_check(motifs, graph, corpus, cache=None):
                 "witness": differences[0] if differences else None,
             }
         )
-    return CheckReport("hull", [], passed, statistics, counterexamples)
+    return CheckReport("hull", [], passed, statistics, counterexamples, corpus.bounds)
 
 
 def connected_hull_check(motifs, graph, min_overlap, corpus, cache=None):
@@ -608,7 +644,9 @@ def connected_hull_check(motifs, graph, min_overlap, corpus, cache=None):
                 "witness": differences[0],
             }
         )
-    return CheckReport("connected-hull", [], passed, statistics, counterexamples)
+    return CheckReport(
+        "connected-hull", [], passed, statistics, counterexamples, corpus.bounds
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,7 @@ def _parallel_check(kind, schemes, corpus, jobs):
         all(report.passed for report in reports),
         statistics,
         [entry for report in reports for entry in report.counterexamples],
+        corpus.bounds,
     )
 
 

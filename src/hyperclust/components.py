@@ -10,7 +10,6 @@ with one vertex per distinct edge vertex set, is built only for display.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from .graphs import Hypergraph
 from .partitions import PartitionedSet
@@ -76,14 +75,26 @@ class LineGraph:
 
 def _overlap_pairs(sets, k):
     """Yield ``(j, i)``, ``j < i``, for the sets sharing at least ``k`` elements;
-    sets that share no element are never compared."""
+    sets that share no element are never compared.
+
+    Set i lists the earlier holders of each of its elements, then counts
+    them per earlier set j in a plain dict, skipped when the list is
+    shorter than ``k``; on the handful of sets a check percolates, a
+    ``Counter`` per set costs more than the counting.  Pairs for one i come
+    out in the order their j was first met.
+    """
     holders = {}
     for i, s in enumerate(sets):
-        shared = Counter()
+        met = []
         for x in s:
             held = holders.setdefault(x, [])
-            shared.update(held)
+            met += held
             held.append(i)
+        if len(met) < k:
+            continue
+        shared = {}
+        for j in met:
+            shared[j] = shared.get(j, 0) + 1
         for j, count in shared.items():
             if count >= k:
                 yield j, i
@@ -92,30 +103,36 @@ def _overlap_pairs(sets, k):
 def percolate(sets, k):
     """Components of the k-overlap relation on ``sets``, as lists of indices
     into ``sets``.  Two sets are related when they share at least ``k``
-    elements; at threshold infinity every set is its own component."""
+    elements; at threshold infinity every set is its own component.
+
+    A union-find with path halving, written out inline: the checks call
+    this thousands of times on a handful of sets each, where a call per
+    ``find`` would cost more than the work.
+    """
     k = check_threshold(k)
-    parent = list(range(len(sets)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    n = len(sets)
+    if k == INFINITE or n < 2:
+        return [[i] for i in range(n)]
     if k == 1:
         # Joining each set to the first holder of each of its elements
         # connects exactly the sets that share an element.
         first = {}
         pairs = ((first.setdefault(x, i), i) for i, s in enumerate(sets) for x in s)
-    elif k != INFINITE:
-        pairs = _overlap_pairs(sets, k)
     else:
-        pairs = ()
+        pairs = _overlap_pairs(sets, k)
+    parent = list(range(n))
     for j, i in pairs:
-        parent[find(i)] = find(j)
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        parent[i] = j
     groups = {}
-    for i in range(len(sets)):
-        groups.setdefault(find(i), []).append(i)
+    for i in range(n):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(i)
     return list(groups.values())
 
 
@@ -124,7 +141,11 @@ def component_member_unions(sets, k, labels=None):
     with overlap measured on ``labels[s]`` in place of ``s`` when given."""
     sets = list(sets)
     compared = sets if labels is None else [labels[s] for s in sets]
-    return [frozenset().union(*(sets[i] for i in comp)) for comp in percolate(compared, k)]
+    member = sets.__getitem__
+    return [
+        frozenset(sets[comp[0]]) if len(comp) == 1 else frozenset().union(*map(member, comp))
+        for comp in percolate(compared, k)
+    ]
 
 
 def has_full_part(vertices, parts):

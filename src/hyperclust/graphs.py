@@ -47,7 +47,7 @@ class Hypergraph:
     key caches.
     """
 
-    __slots__ = ("vertices", "edges", "_hash")
+    __slots__ = ("vertices", "edges", "_hash", "_edge_sets")
 
     def __init__(self, vertices=(), edges=None):
         vs = tuple(sorted({str(v) for v in vertices}))
@@ -63,6 +63,7 @@ class Hypergraph:
         self.vertices = vs
         self.edges = dict(sorted(items))
         self._hash = hash((vs, tuple(self.edges.items())))
+        self._edge_sets = None
 
     @classmethod
     def _make(cls, vertices, edges):
@@ -72,6 +73,7 @@ class Hypergraph:
         g.vertices = vertices
         g.edges = edges
         g._hash = hash((vertices, tuple(edges.items())))
+        g._edge_sets = None
         return g
 
     @property
@@ -79,8 +81,16 @@ class Hypergraph:
         return frozenset(self.vertices)
 
     def edge_sets(self):
-        """The distinct edge vertex sets (parallel edges collapse)."""
-        return frozenset(self.edges.values())
+        """The distinct edge vertex sets (parallel edges collapse).
+
+        Built on the first call and kept, so every later call returns the
+        same frozenset; a graph made from this one (a restriction, say)
+        starts without it.
+        """
+        sets = self._edge_sets
+        if sets is None:
+            sets = self._edge_sets = frozenset(self.edges.values())
+        return sets
 
     def is_simple(self):
         """True when this is an ordinary graph: all edges have two vertices
@@ -243,7 +253,7 @@ def restrict(graph, part):
         )
     edges = {eid: s for eid, s in graph.edges.items() if s <= keep}
     sub = Hypergraph._make(tuple(sorted(keep)), edges)
-    inclusion = GraphMorphism(sub, graph, {v: v for v in sub.vertices})
+    inclusion = GraphMorphism._make(sub, graph, {v: v for v in sub.vertices})
     return sub, inclusion
 
 

@@ -386,6 +386,16 @@ def motif_expansion(motifs, graph, budget=None):
     return Hypergraph._make(graph.vertices, dict(sorted(edges.items())))
 
 
+def _is_simplex(motif):
+    # Its one distinct edge set holds every vertex: n members that include
+    # all n distinct vertices are exactly the vertex set.
+    sets = motif.edge_sets()
+    if len(sets) != 1:
+        return False
+    (edge,) = sets
+    return len(edge) == len(motif.vertices) and edge.issuperset(motif.vertices)
+
+
 def expansion_edge_sets(motifs, graph, budget=None):
     """Just the distinct edge vertex sets of the expansion; cheaper than
     building the full expansion when only overlaps matter.
@@ -394,20 +404,22 @@ def expansion_edge_sets(motifs, graph, budget=None):
     possibly with parallel copies of that edge.  Every embedding of it sends
     its one edge onto a target n-edge, and every target n-edge is reached by
     n! embeddings, so its images are exactly the graph's distinct edge sets
-    of size n.  Those are added directly, with no search; ``budget`` counts
-    search nodes, so this path never trips it.  Every other motif goes
-    through :func:`enumerate_embeddings`.
+    of size n.  Those are added directly, for every such size in one pass
+    over the graph's edge sets, with no search; ``budget`` counts search
+    nodes, so this path never trips it.  Every other motif goes through
+    :func:`enumerate_embeddings`.
     """
     cooked = _check_motifs(motifs)
-    targets = graph.edge_sets()
+    sizes = set()
     sets = set()
     for motif in cooked:
-        if motif.edge_sets() == {motif.vertex_set}:
-            n = len(motif.vertices)
-            sets.update(s for s in targets if len(s) == n)
+        if _is_simplex(motif):
+            sizes.add(len(motif.vertices))
             continue
         for emb in enumerate_embeddings(motif, graph, budget=budget):
             sets.add(frozenset(emb.map.values()))
+    if sizes:
+        sets.update(s for s in graph.edge_sets() if len(s) in sizes)
     return frozenset(sets)
 
 

@@ -46,6 +46,18 @@ class PartitionedSet:
         self.parts = frozenset(cooked)
         self._hash = hash((elems, self.parts))
 
+    @classmethod
+    def _make(cls, elements, parts):
+        """Fast path for internal callers that already hold normalised data,
+        as for ``Hypergraph._make``: ``elements`` a tuple in the
+        constructor's order, ``parts`` a frozenset of frozensets of them.
+        Nothing is converted or checked."""
+        p = cls.__new__(cls)
+        p.elements = elements
+        p.parts = parts
+        p._hash = hash((elements, parts))
+        return p
+
     def sorted_parts(self):
         """Parts as sorted tuples, ordered lexicographically."""
         return sorted(

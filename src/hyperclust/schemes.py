@@ -141,7 +141,8 @@ def shared_edge_graph(motif, graph):
 
 def _shared_edge_parts(motif, graph):
     labels = _shared_edge_labels(motif, graph)
-    return PartitionedSet(graph.vertices, component_member_unions(labels, 1, labels))
+    parts = component_member_unions(labels, 1, labels)
+    return PartitionedSet._make(graph.vertices, frozenset(parts))
 
 
 def validate_shared_edge_motif(motif):
@@ -279,21 +280,27 @@ def cluster(scheme, graph, expand=None):
     edge vertex sets of its expansion from ``expand(motifs, graph)``, by
     default :func:`~hyperclust.motifs.expansion_edge_sets`, so a caller can
     memoize them across schemes.
+
+    Motif, shared-edge and component parts are unions of the graph's own
+    vertex sets, so they are assembled with ``PartitionedSet._make`` and not
+    normalised again.  That holds for a graph whose edges name only its
+    vertices, which :func:`~hyperclust.graphs.validate_hypergraph` checks.
     """
     if isinstance(scheme, MotifScheme):
         motifs = tuple(materialize_motifs(scheme.motifs, graph))
         # Looked up at call time, so a wrapper installed on this module's
         # expansion_edge_sets sees every default call.
         sets = (expand or expansion_edge_sets)(motifs, graph)
-        return PartitionedSet(graph.vertices, component_member_unions(sets, scheme.min_overlap))
+        parts = component_member_unions(sets, scheme.min_overlap)
+        return PartitionedSet._make(graph.vertices, frozenset(parts))
     if isinstance(scheme, SharedEdgeScheme):
         return _shared_edge_parts(scheme.motif, graph)
     if isinstance(scheme, ComponentScheme):
         if not graph.is_simple():
             raise ValueError("the component scheme requires a simple graph")
         comps = connected_components(graph)
-        return PartitionedSet(
-            graph.vertices, [p for p in comps.parts if len(p) >= 2]
+        return PartitionedSet._make(
+            graph.vertices, frozenset(p for p in comps.parts if len(p) >= 2)
         )
     if isinstance(scheme, ToyScheme):
         return toy_cluster(scheme.rule, graph)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from collections import Counter
@@ -25,18 +26,28 @@ from hyperclust.checks import (
     validate_equal_parts_witness,
 )
 from hyperclust.graphs import (
+    GraphMorphism,
     Hypergraph,
     SizeLimitError,
     complete_graph,
     disjoint_union,
     fused_triples,
     hypergraph_from_json,
+    linear_triangle,
     path,
     relabel,
+    restrict,
     simplex,
     triangle_with_tail,
 )
-from hyperclust.schemes import MotifScheme, ToyScheme, cluster
+from hyperclust.partitions import PartitionedSet
+from hyperclust.schemes import (
+    ComponentScheme,
+    MotifScheme,
+    SharedEdgeScheme,
+    ToyScheme,
+    cluster,
+)
 
 TINY = CorpusBounds(
     max_vertices=2,
@@ -137,6 +148,44 @@ class TestCorpusGeneration:
             path.write_text("".join(cut))
             assert len(generate_corpus(TINY).graphs) == 6
 
+    @pytest.mark.parametrize("spoil", [
+        lambda data: data["vertices"].reverse(),
+        lambda data: data["edges"].reverse(),
+        lambda data: [row.update(id=i) for i, row in enumerate(data["edges"], 1)],
+        lambda data: data["edges"][0]["vertices"].append("v9"),
+    ], ids=["unsorted-vertices", "unsorted-edge-ids", "integer-ids", "unknown-member"])
+    def test_cache_line_out_of_normal_form_is_rebuilt(self, spoil, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+        bounds = CorpusBounds(2, 2, 2, 2, 0)
+        graphs = generate_corpus(bounds).graphs
+        path = _cache_path(bounds)
+        written = path.read_text()
+        lines = written.splitlines()
+        at = next(
+            i for i, g in enumerate(graphs) if len(g.vertices) == 2 and len(g.edges) == 2
+        )
+        data = json.loads(lines[at])
+        spoil(data)
+        lines[at] = json.dumps(data, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert checks._load_cached_graphs(bounds) is None
+        assert generate_corpus(bounds).graphs == graphs
+        assert path.read_text() == written
+
+    def test_cached_graphs_equal_their_json_on_the_default_corpus(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+        checks._store_cached_graphs(corpus.bounds, corpus.graphs)
+        lines = _cache_path(corpus.bounds).read_text().splitlines()[:-1]
+        loaded = checks._load_cached_graphs(corpus.bounds)
+        assert loaded == list(corpus.graphs)
+        for graph, line in zip(loaded, lines):
+            again = hypergraph_from_json(json.loads(line))
+            assert (graph.vertices, graph.edges, hash(graph)) == (
+                again.vertices, again.edges, hash(again)
+            )
+
     def test_stale_temp_name_does_not_block_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
         squatter = _cache_path(TINY).with_suffix(".tmp")
@@ -207,6 +256,38 @@ class TestClusterCache:
         scheme = MotifScheme(("E*",), 1)
         first = cache.parts(scheme, simplex(3))
         assert cache.parts(scheme, simplex(3)) is first
+
+
+class TestFastPathsOnTheDefaultCorpus:
+    """Objects assembled without normalising equal what the normalising
+    constructors build from the same data."""
+
+    @pytest.mark.parametrize("scheme", [
+        MotifScheme(("E*",), 2),
+        MotifScheme(("E*",), 1),
+        MotifScheme((complete_graph(3),), 2),
+        SharedEdgeScheme(linear_triangle()),
+        ComponentScheme(),
+    ], ids=["E*-k2", "E*-k1", "K3-k2", "sigma", "classic"])
+    def test_cluster_equals_the_constructor(self, corpus, scheme):
+        simple_only = isinstance(scheme, ComponentScheme)
+        for graph in corpus.simple_graphs() if simple_only else corpus.graphs:
+            parts = cluster(scheme, graph)
+            again = PartitionedSet(graph.vertices, parts.parts)
+            assert (parts.elements, parts.parts, hash(parts)) == (
+                again.elements, again.parts, hash(again)
+            )
+
+    def test_restrict_equals_the_constructors(self, corpus):
+        scheme = MotifScheme(("E*",), 2)
+        for graph in corpus.graphs:
+            for part in cluster(scheme, graph).sorted_parts():
+                sub, inclusion = restrict(graph, part)
+                again = Hypergraph(sub.vertices, sub.edges)
+                assert (sub.vertices, sub.edges, hash(sub)) == (
+                    again.vertices, again.edges, hash(again)
+                )
+                assert inclusion == GraphMorphism(sub, graph, {v: v for v in part})
 
 
 class TestAxiomChecks:
@@ -281,6 +362,7 @@ class TestAxiomChecks:
         )
         data = report.to_json(limit=3)
         assert data["verdict"] == "fail"
+        assert data["bounds"] == dataclasses.asdict(small_corpus.bounds)
         assert len(data["counterexamples"]) <= 3
         assert data["statistics"]["counterexamples_shown"] <= 3
         assert (

@@ -329,6 +329,12 @@ class TestCheck:
         assert data["verdict"] == "fail"
         assert data["counterexamples"]
 
+    def test_report_states_its_bounds(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "excisive", *E_STAR_2, "--max-vertices", "3")
+        assert code == 0
+        expected = dataclasses.replace(checks.CorpusBounds(), max_vertices=3)
+        assert json.loads(out)["bounds"] == dataclasses.asdict(expected)
+
     def test_unknown_property(self, capsys):
         code, _, err = run_cli(capsys, "check", "magic", "--scheme", "classic")
         assert code == 2

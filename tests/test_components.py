@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hyperclust.graphs import (
 )
 from hyperclust.components import (
     INFINITE,
+    _overlap_pairs,
     check_threshold,
     connected_components,
     edge_set_parts,
@@ -32,6 +35,29 @@ thresholds = st.sampled_from([1, 2, 3, INFINITE])
 # Distinct edges that set_name maps to the same "{a,b,c}".
 NAME_CLASH = Hypergraph(["a", "b", "c", "a,b"], {"e1": ("a,b", "c"), "e2": "abc"})
 set_families = st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=5), max_size=8)
+# Many sets over few elements, so most pairs share one or more of them.
+crowded_families = st.lists(
+    st.frozensets(st.sampled_from("abcd"), min_size=2, max_size=4), min_size=2, max_size=12
+)
+# Every family of at most four distinct nonempty subsets of a 4-element set.
+SUBSETS = [frozenset(c) for n in range(1, 5) for c in itertools.combinations("abcd", n)]
+SMALL_FAMILIES = [list(f) for n in range(5) for f in itertools.combinations(SUBSETS, n)]
+
+
+def assert_percolates_like_oracle(sets, k):
+    comps = percolate(sets, k)
+    assert sorted(i for comp in comps for i in comp) == list(range(len(sets)))
+    unions = {frozenset().union(*(sets[i] for i in comp)) for comp in comps}
+    assert unions == oracles.naive_overlap_parts(sets, k)
+    if k != INFINITE:
+        pairs = list(_overlap_pairs(sets, k))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {
+            (j, i)
+            for i in range(len(sets))
+            for j in range(i)
+            if len(sets[i] & sets[j]) >= k
+        }
 
 
 class TestThreshold:
@@ -98,10 +124,19 @@ class TestPercolate:
     @given(set_families, thresholds)
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_oracle(self, sets, k):
-        comps = percolate(sets, k)
-        assert sorted(i for comp in comps for i in comp) == list(range(len(sets)))
-        unions = {frozenset().union(*(sets[i] for i in comp)) for comp in comps}
-        assert unions == oracles.naive_overlap_parts(sets, k)
+        assert_percolates_like_oracle(sets, k)
+
+    def test_matches_naive_oracle_on_every_small_family(self):
+        assert len(SMALL_FAMILIES) == 1941
+        for sets in SMALL_FAMILIES:
+            for k in (1, 2, 3, 4, INFINITE):
+                assert_percolates_like_oracle(sets, k)
+                assert_percolates_like_oracle(sets[::-1], k)
+
+    @given(crowded_families, st.sampled_from([1, 2, 3, 4, INFINITE]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_oracle_when_sets_crowd(self, sets, k):
+        assert_percolates_like_oracle(sets, k)
 
 
 class TestComponents:

@@ -122,6 +122,12 @@ class TestHypergraph:
         assert len(g.edge_sets()) == 1
         assert not g.is_simple()
 
+    def test_edge_sets_are_built_once(self):
+        g = fused_triples_host()
+        first = g.edge_sets()
+        assert g.edge_sets() is first
+        assert first == frozenset(g.edges.values())
+
     def test_validate_flags_unknown_vertices_and_empty_edges(self):
         g = Hypergraph("ab", {"e1": ("a", "c"), "e2": ()})
         report = validate_hypergraph(g)
@@ -157,6 +163,13 @@ class TestMorphisms:
         sub, inc = restrict(g, ("v1", "v2", "v3"))
         assert validate_graph_morphism(inc).ok
         assert set(sub.edges) == {"h1"}
+
+    def test_restriction_builds_its_own_edge_sets(self):
+        g = fused_triples_host()
+        assert len(g.edge_sets()) == 4
+        sub, inc = restrict(g, ("v1", "v2", "v3"))
+        assert sub.edge_sets() == frozenset({frozenset({"v1", "v2", "v3"})})
+        assert inc == GraphMorphism(sub, g, {v: v for v in sub.vertices})
 
     def test_restrict_outside_vertex_set(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,11 @@ IMAGE_MOTIF_LISTS = {
     **{f"E_{n}": [simplex(n)] for n in range(1, 7)},
     "E_3 doubled": [Hypergraph("abc", {"e1": "abc", "e2": "abc"})],
     "E_2 and K_3": [simplex(2), complete_graph(3)],
+    # One distinct edge set that misses a vertex: not a simplex.
+    "edge and a free vertex": [Hypergraph("abc", {"e1": "ab"})],
+    "E_1, E_3 and an edge with a free vertex": [
+        simplex(1), simplex(3), Hypergraph("abc", {"e1": "ab"})
+    ],
 }
 
 
