@@ -39,7 +39,6 @@ from .graphs import (
     iso_check,
     restrict,
     triangle_with_tail,
-    validate_graph_morphism,
 )
 from .motifs import enumerate_embeddings, expansion_edge_sets
 from .partitions import is_refinement
@@ -935,14 +934,3 @@ def search_equal_parts_example(bounds=None, seed=0, random_trials=2000):
     )
     return EqualPartsResult(witness, transcript, False, bounds, trials)
 
-
-# ---------------------------------------------------------------------------
-# corpus self-checks used by the test suite
-
-def find_invalid_morphisms(corpus):
-    """Morphisms that fail validation; the corpus invariant says none do."""
-    bad = []
-    for morphism in corpus.morphisms:
-        if not validate_graph_morphism(morphism).ok:
-            bad.append(morphism)
-    return bad

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import re
 from collections import Counter, deque
 
@@ -44,10 +46,12 @@ class Hypergraph:
     :func:`validate_hypergraph` for those, so that malformed inputs can be
     reported rather than half-rejected.  Graphs compare equal when both the
     vertex tuple and the id -> set mapping agree, and they hash, so they can
-    key caches.
+    key caches.  A graph used as a motif keeps its embedding-search plan in
+    ``_plan`` (see :func:`hyperclust.motifs._plan`); like the edge sets, it
+    is built on first use and not shared with graphs made from this one.
     """
 
-    __slots__ = ("vertices", "edges", "_hash", "_edge_sets")
+    __slots__ = ("vertices", "edges", "_hash", "_edge_sets", "_plan")
 
     def __init__(self, vertices=(), edges=None):
         vs = tuple(sorted({str(v) for v in vertices}))
@@ -64,6 +68,7 @@ class Hypergraph:
         self.edges = dict(sorted(items))
         self._hash = hash((vs, tuple(self.edges.items())))
         self._edge_sets = None
+        self._plan = None
 
     @classmethod
     def _make(cls, vertices, edges):
@@ -74,6 +79,7 @@ class Hypergraph:
         g.edges = edges
         g._hash = hash((vertices, tuple(edges.items())))
         g._edge_sets = None
+        g._plan = None
         return g
 
     @property
@@ -230,18 +236,6 @@ def compose_morphisms(first, second):
     return GraphMorphism(first.source, second.target, combined)
 
 
-def morphism_to_json(morphism):
-    return {"map": dict(sorted(morphism.map.items()))}
-
-
-def morphism_from_json(data, source, target):
-    try:
-        vm = data["map"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed morphism JSON: {exc}") from exc
-    return GraphMorphism(source, target, vm)
-
-
 def restrict(graph, part):
     """Sub-hypergraph on ``part``: the edges lying entirely inside it, with
     their original ids.  Returns the subgraph and the inclusion morphism."""
@@ -342,12 +336,19 @@ def graph_distance(graph, start, goal):
     return None
 
 
-def _vertex_profiles(graph):
+def _profile_classes(graph):
+    # (profile, vertices) pairs ordered by profile, the vertices of each
+    # class by name; a profile is the sorted tuple of incident edge sizes.
+    # Edges are visited smallest first, so each profile comes out sorted.
     prof = {v: [] for v in graph.vertices}
-    for s in graph.edges.values():
+    for s in sorted(graph.edges.values(), key=len):
+        size = len(s)
         for v in s:
-            prof[v].append(len(s))
-    return {v: tuple(sorted(sizes)) for v, sizes in prof.items()}
+            prof[v].append(size)
+    classes = {}
+    for v, sizes in prof.items():
+        classes.setdefault(tuple(sizes), []).append(v)
+    return sorted(classes.items())
 
 
 def iso_check(left, right):
@@ -356,79 +357,143 @@ def iso_check(left, right):
     A hit maps the edge vertex-set multiset of one graph onto the other's,
     so parallel multiplicities matter.  Returns ``(True, map)`` or
     ``(False, None)``.  Vertex and edge counts are compared first, then the
-    profile classes (which also fix the edge sizes); only graphs that agree
-    on both get canonical forms, so only they can be refused, as
-    :func:`canonical_key` refuses them.
+    profile classes (which also fix the edge sizes); each graph's classes
+    are computed once and feed both that test and its canonical form.  Only
+    graphs that agree on both get canonical forms, so only they can be
+    refused, as :func:`canonical_key` refuses them: when their classes allow
+    more than ``_PERM_CAP`` bijections.  The map sends each vertex of
+    ``left`` to the vertex of ``right`` that the two minimising labellings
+    give the same position.
     """
     if len(left.vertices) != len(right.vertices) or len(left.edges) != len(right.edges):
         return False, None
-    lshape, rshape = (sorted(Counter(_vertex_profiles(g).values()).items()) for g in (left, right))
-    if lshape != rshape:
+    lclasses, rclasses = _profile_classes(left), _profile_classes(right)
+    if [(p, len(vs)) for p, vs in lclasses] != [(p, len(vs)) for p, vs in rclasses]:
         return False, None
-    (lkey, llabel), (rkey, rlabel) = _canonical_form(left), _canonical_form(right)
+    lkey, *lplaced = _canonical_form(left, lclasses)
+    rkey, *rplaced = _canonical_form(right, rclasses)
     if lkey != rkey:
         return False, None
     # Both labellings send their graph's edge multiset onto the same key.
-    vertex_at = {i: w for w, i in rlabel.items()}
-    return True, {v: vertex_at[i] for v, i in llabel.items()}
+    vertex_at = {i: w for w, i in _labelling(*rplaced).items()}
+    return True, {v: vertex_at[i] for v, i in _labelling(*lplaced).items()}
 
 
-# Graphs with more profile-respecting bijections than this are refused: the
-# canonical form tries every one of them.
+# Graphs with more profile-respecting bijections than this are refused,
+# counted over the profile classes before any twin block is fixed.
 _PERM_CAP = 2_000_000
 
 
-def _canonical_form(graph):
-    # The canonical key and a labelling vertex -> 0..n-1 that attains it.
+def _canonical_form(graph, classes):
+    """The canonical key of ``graph`` and the bijection that attains it.
+
+    ``classes`` is :func:`_profile_classes` of the graph.  Returns ``(key,
+    order, moves)``: ``order`` lists the vertices class-major, which is the bit
+    order of the masks, and ``moves`` holds one ``(start, perm)`` per block
+    that was searched, sending ``order[start + i]`` to position ``start +
+    perm[i]``; every other vertex keeps its index in ``order``.
+    """
     n = len(graph.vertices)
-    prof = _vertex_profiles(graph)
-    classes = {}
-    for v in graph.vertices:
-        classes.setdefault(prof[v], []).append(v)
-    ordered = sorted(classes.items())
-    shape = tuple((p, len(vs)) for p, vs in ordered)
+    shape = tuple([(p, len(vs)) for p, vs in classes])
+    order = [v for _, vs in classes for v in vs]
     if not graph.edges:
-        return (n, shape, ()), {v: i for i, v in enumerate(graph.vertices)}
-
-    total = 1
-    for _, vs in ordered:
-        for k in range(2, len(vs) + 1):
-            total *= k
-        if total > _PERM_CAP:
-            raise SizeLimitError("canonical form: too many profile-respecting bijections")
-
-    slots = []
+        return (n, shape, ()), order, ()
+    bit = {v: 1 << i for i, v in enumerate(order)}.__getitem__
+    masks = [sum(map(bit, s)) for s in graph.edges.values()]
+    encoded = sorted(masks)
+    # A block whose neighbouring members can all trade places without
+    # changing the edge multiset lies wholly in Aut(G): every order of it
+    # encodes alike, so it stays where it is.  The rest are searched.  The
+    # cap counts every block, fixed or not.
+    moving = []
     start = 0
-    for _, vs in ordered:
-        slots.append((vs, start))
-        start += len(vs)
+    total = 1
+    for _, vs in classes:
+        size = len(vs)
+        if size > 1:
+            total *= math.factorial(size)
+            if total > _PERM_CAP:
+                raise SizeLimitError("canonical form: too many profile-respecting bijections")
+            for i in range(start, start + size - 1):
+                pair, low = 3 << i, 1 << i
+                swapped = [m ^ pair if (m & pair) in (low, pair ^ low) else m for m in masks]
+                if sorted(swapped) != encoded:
+                    moving.append((start, size))
+                    break
+        start += size
+    if not moving:
+        return (n, shape, tuple(encoded)), order, ()
 
-    best = labelling = None
-    for combo in itertools.product(*[itertools.permutations(vs) for vs, _ in slots]):
-        position = {}
-        for (vs, base), perm in zip(slots, combo):
-            for offset, v in enumerate(perm):
-                position[v] = base + offset
-        encoded = tuple(sorted(tuple(sorted(position[v] for v in s)) for s in graph.edges.values()))
-        if best is None or encoded < best:
-            best = encoded
-            labelling = position
-    return (n, shape, best), labelling
+    # The fixed vertices keep their bits; each searched block adds, per
+    # permutation, its relabelled bits of every edge.  The largest block is
+    # walked lazily, outermost; under the cap any other has at most 6!
+    # permutations, so theirs are tabled once.
+    moving.sort(key=lambda block: -block[1])
+    searched = sum(((1 << size) - 1) << start for start, size in moving)
+    fixed = [m & ~searched for m in masks]
+    (first, size), *rest = moving
+    tables = [list(_relabelled(masks, *block)) for block in rest]
+    best = choice = None
+    for perm, bits in _relabelled(masks, first, size):
+        row = list(map(operator.add, fixed, bits))
+        for combo in itertools.product(*tables):
+            encoded = row
+            for _, more in combo:
+                encoded = list(map(operator.add, encoded, more))
+            encoded = sorted(encoded)
+            if best is None or encoded < best:
+                best, choice = encoded, (perm, *(p for p, _ in combo))
+    return (n, shape, tuple(best)), order, tuple(zip((s for s, _ in moving), choice))
+
+
+def _relabelled(masks, start, size):
+    # Each permutation of the block of positions start..start+size-1, with
+    # the block's bits of every mask moved by it: bit start+i goes to bit
+    # start+perm[i].
+    members = [[i for i in range(size) if m >> (start + i) & 1] for m in masks]
+    for perm in itertools.permutations(range(size)):
+        targets = [1 << (start + p) for p in perm]
+        yield perm, [sum([targets[i] for i in ix]) for ix in members]
+
+
+def _labelling(order, moves):
+    # The vertex -> position map that a canonical form's order and moves
+    # describe.
+    position = {v: i for i, v in enumerate(order)}
+    for start, perm in moves:
+        for i, p in enumerate(perm):
+            position[order[start + i]] = start + p
+    return position
 
 
 def canonical_key(graph):
     """A label-independent key: two graphs get equal keys exactly when they
     are isomorphic.
 
-    The key is the minimum, over all bijections onto ``0..n-1`` that respect
-    vertex incidence profiles, of the relabelled edge multiset.  Profile
-    classes cut the search down; isomorphisms always respect profiles, so
-    restricting to them loses nothing.  This is the only isomorphism search
-    in the package: :func:`iso_check` and corpus deduplication both use it.
+    Vertices fall into profile classes (a profile is the sorted tuple of a
+    vertex's incident edge sizes); the classes are ordered by profile and
+    each class's vertices by name.  Each edge becomes a bitmask over that
+    class-major order, and the key is ``(n, shape, code)``: ``shape`` lists
+    each profile with its class size, and ``code`` is the minimum, over all
+    bijections that send each class onto its own block of positions, of the
+    sorted tuple of relabelled masks.  Isomorphisms respect profiles, so
+    restricting to these bijections loses nothing, and the minimum is a
+    complete invariant.
+
+    A block in which every swap of two neighbouring members leaves the
+    sorted masks unchanged is not searched.  Neighbouring swaps generate the
+    block's symmetric group, so that group lies in Aut(G); composing any
+    bijection with one of its members gives the same encoding, so one order
+    of the block attains the minimum as well as every other.
+
     Graphs with edges and more than 2,000,000 profile-respecting bijections
-    are refused with :class:`SizeLimitError`.
+    are refused with :class:`SizeLimitError`.  The count is the product of
+    the class sizes' factorials, taken before any block is fixed, so the
+    refused inputs do not depend on the graph's symmetry.  This is the only
+    isomorphism search in the package: :func:`iso_check` and corpus
+    deduplication both use it.
     """
-    return _canonical_form(graph)[0]
+    return _canonical_form(graph, _profile_classes(graph))[0]
 
 
 # ---------------------------------------------------------------------------

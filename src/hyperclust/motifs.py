@@ -88,8 +88,23 @@ class _Plan:
     )
 
 
-@functools.lru_cache(maxsize=1024)
 def _plan(motif):
+    """The search plan of ``motif``, kept on the motif itself.
+
+    A scheme holds its motifs for as long as it clusters, so however many
+    motifs it has, each plan is built once and never evicted.  Equal motifs
+    built separately, such as the tailed triangles a scheme materialises
+    for every graph, share a plan through the bounded cache on
+    :func:`_build_plan`, behind the slot.
+    """
+    plan = motif._plan
+    if plan is None:
+        plan = motif._plan = _build_plan(motif)
+    return plan
+
+
+@functools.lru_cache(maxsize=1024)
+def _build_plan(motif):
     order = tuple(_search_order(motif))
     position = {v: i for i, v in enumerate(order)}
     edges = sorted(tuple(sorted(position[v] for v in s)) for s in motif.edge_sets())
@@ -310,7 +325,8 @@ def enumerate_embeddings(motif, graph, budget=None):
     :func:`_representatives`), and each one found is composed with every
     product of the stabilizer chain's transversals to emit its whole coset.
     The chain comes from pinned searches of the motif into itself and is
-    kept, with the rest of the per-motif search plan, in a bounded cache.
+    kept, with the rest of the per-motif search plan, on the motif (see
+    :func:`_plan`).
     Callers that need only images or edge images can take the
     representatives alone; this function is for callers that need every
     map.

@@ -2,13 +2,22 @@
 
 Everything here is deliberately naive: permutation scans, brute-force
 subset enumeration, or thin wrappers over networkx.  The library under test
-must agree with these on every graph small enough to afford them.
+must agree with these on every graph small enough to afford them.  The
+helpers at the end (morphism JSON round trips, the morphism validity sweep)
+serve only the tests, so they live here rather than in the package.
 """
 
 import functools
 import itertools
 
 import networkx as nx
+
+from hyperclust.graphs import (
+    _PERM_CAP,
+    GraphMorphism,
+    SizeLimitError,
+    validate_graph_morphism,
+)
 
 
 def to_nx(graph):
@@ -160,3 +169,83 @@ def naive_shared_edge_parts(motif, graph):
     return _bfs_unions(
         images, lambda a, b: bool(labels[images[a]] & labels[images[b]])
     )
+
+
+# ---------------------------------------------------------------------------
+# the canonical form the package used before edge bitmasks and twin blocks
+
+def _vertex_profiles(graph):
+    prof = {v: [] for v in graph.vertices}
+    for s in graph.edges.values():
+        for v in s:
+            prof[v].append(len(s))
+    return {v: tuple(sorted(sizes)) for v, sizes in prof.items()}
+
+
+def _canonical_form(graph):
+    # The canonical key and a labelling vertex -> 0..n-1 that attains it.
+    n = len(graph.vertices)
+    prof = _vertex_profiles(graph)
+    classes = {}
+    for v in graph.vertices:
+        classes.setdefault(prof[v], []).append(v)
+    ordered = sorted(classes.items())
+    shape = tuple((p, len(vs)) for p, vs in ordered)
+    if not graph.edges:
+        return (n, shape, ()), {v: i for i, v in enumerate(graph.vertices)}
+
+    total = 1
+    for _, vs in ordered:
+        for k in range(2, len(vs) + 1):
+            total *= k
+        if total > _PERM_CAP:
+            raise SizeLimitError("canonical form: too many profile-respecting bijections")
+
+    slots = []
+    start = 0
+    for _, vs in ordered:
+        slots.append((vs, start))
+        start += len(vs)
+
+    best = labelling = None
+    for combo in itertools.product(*[itertools.permutations(vs) for vs, _ in slots]):
+        position = {}
+        for (vs, base), perm in zip(slots, combo):
+            for offset, v in enumerate(perm):
+                position[v] = base + offset
+        encoded = tuple(sorted(tuple(sorted(position[v] for v in s)) for s in graph.edges.values()))
+        if best is None or encoded < best:
+            best = encoded
+            labelling = position
+    return (n, shape, best), labelling
+
+
+def reference_key(graph):
+    """The slow canonical key: every profile-respecting bijection is tried
+    and the edges are encoded as sorted position tuples.  Its values differ
+    from ``canonical_key``'s, but the two must split graphs alike."""
+    return _canonical_form(graph)[0]
+
+
+# ---------------------------------------------------------------------------
+# morphism round trips and corpus self-checks
+
+def morphism_to_json(morphism):
+    return {"map": dict(sorted(morphism.map.items()))}
+
+
+def morphism_from_json(data, source, target):
+    try:
+        vm = data["map"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed morphism JSON: {exc}") from exc
+    return GraphMorphism(source, target, vm)
+
+
+def find_invalid_morphisms(corpus):
+    """Morphisms that fail validation; the corpus invariant says none do."""
+    bad = []
+    for morphism in corpus.morphisms:
+        if not validate_graph_morphism(morphism).ok:
+            bad.append(morphism)
+    return bad

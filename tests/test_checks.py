@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 from collections import Counter
@@ -18,7 +19,6 @@ from hyperclust.checks import (
     check_scheme_equal,
     connected_hull_check,
     estimate_candidates,
-    find_invalid_morphisms,
     finite_rep_witness,
     generate_corpus,
     hull_check,
@@ -33,6 +33,7 @@ from hyperclust.graphs import (
     disjoint_union,
     fused_triples,
     hypergraph_from_json,
+    hypergraph_to_json,
     linear_triangle,
     path,
     relabel,
@@ -48,6 +49,8 @@ from hyperclust.schemes import (
     ToyScheme,
     cluster,
 )
+
+import oracles
 
 TINY = CorpusBounds(
     max_vertices=2,
@@ -73,6 +76,19 @@ class TestCorpusGeneration:
             (2, [1]),
             (2, [2]),
         ]
+
+    def test_default_corpus_is_pinned(self, corpus):
+        # The representatives, their order and their serialisation: any
+        # change to class enumeration or to the canonical form that moves
+        # one graph changes this digest.  The session's corpus is built from
+        # an empty cache directory (see conftest.py).
+        digest = hashlib.sha256()
+        for graph in corpus.graphs:
+            digest.update((json.dumps(hypergraph_to_json(graph), sort_keys=True) + "\n").encode())
+        assert len(corpus.graphs) == 1473
+        assert digest.hexdigest() == (
+            "c166a2829e6bc35fab5e4a133daee743325bb1b7b67d68e70d0bb65667cd6bb8"
+        )
 
     def test_estimate_counts_labelled_candidates(self):
         # by hand: n=0 gives 1, n=1 gives 2, n=2 gives 1 + 3 choices of edge
@@ -102,7 +118,7 @@ class TestCorpusGeneration:
             generate_corpus(big, guard=1000)
 
     def test_morphisms_all_validate(self, small_corpus):
-        assert find_invalid_morphisms(small_corpus) == []
+        assert oracles.find_invalid_morphisms(small_corpus) == []
 
     def test_ids_are_positional(self, small_corpus):
         first = small_corpus.graphs[0]

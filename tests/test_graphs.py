@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 import networkx as nx
 
+from hyperclust import checks
 from hyperclust.graphs import (
     GraphMorphism,
     Hypergraph,
     SizeLimitError,
-    _vertex_profiles,
+    _canonical_form,
+    _labelling,
+    _profile_classes,
     build_named,
     canonical_key,
     complete_graph,
@@ -30,8 +33,6 @@ from hyperclust.graphs import (
     independence_number,
     iso_check,
     linear_triangle,
-    morphism_from_json,
-    morphism_to_json,
     path,
     random_degenerate_graph,
     relabel,
@@ -91,7 +92,7 @@ def vertex_trades(graph):
 
 
 def profile_shape(graph):
-    return sorted(Counter(_vertex_profiles(graph).values()).items())
+    return sorted(Counter(oracles._vertex_profiles(graph).values()).items())
 
 
 @st.composite
@@ -204,8 +205,8 @@ class TestMorphisms:
     def test_morphism_json_round_trip(self):
         g = complete_graph(3)
         sub, inc = restrict(g, ("v1", "v3"))
-        data = morphism_to_json(inc)
-        back = morphism_from_json(data, sub, g)
+        data = oracles.morphism_to_json(inc)
+        back = oracles.morphism_from_json(data, sub, g)
         assert back.map == inc.map
 
 
@@ -342,6 +343,149 @@ class TestIso:
 
     def test_canonical_key_separates_non_isomorphic(self):
         assert canonical_key(path(3)) != canonical_key(complete_graph(3))
+
+
+def split_alike(pairs):
+    """Whether two keyings of the same graphs, given as ``(key, other)``
+    pairs, put the graphs into the same classes."""
+    forward, backward = {}, {}
+    return all(
+        forward.setdefault(key, other) == other and backward.setdefault(other, key) == key
+        for key, other in pairs
+    )
+
+
+def both_keys(graph):
+    return canonical_key(graph), oracles.reference_key(graph)
+
+
+def star(leaves, size=2):
+    """A centre on ``leaves`` edges, each adding ``size - 1`` private
+    vertices.  With 2-edges all leaves are twins; with larger edges only
+    the private vertices of one edge are."""
+    names = ["c"]
+    edges = {}
+    for i in range(leaves):
+        private = [f"l{i}.{j}" for j in range(size - 1)]
+        names += private
+        edges[f"e{i}"] = ["c", *private]
+    return Hypergraph(names, edges)
+
+
+def doubled_matching(pairs):
+    """``pairs`` disjoint 2-edges, each twice: one profile block of all
+    the vertices, searched as soon as there are two pairs."""
+    names = [f"v{i}" for i in range(2 * pairs)]
+    edges = {}
+    for i in range(pairs):
+        for copy in "ab":
+            edges[f"e{i}{copy}"] = (names[2 * i], names[2 * i + 1])
+    return Hypergraph(names, edges)
+
+
+def attained(graph):
+    """The key, and the masks that the form's labelling gives the graph."""
+    key, order, moves = _canonical_form(graph, _profile_classes(graph))
+    position = _labelling(order, moves)
+    assert sorted(position.values()) == list(range(len(graph.vertices)))
+    masks = tuple(sorted(sum(1 << position[v] for v in s) for s in graph.edges.values()))
+    return key, masks, moves
+
+
+class TestCanonicalForm:
+    """The bitmask form against the slow reference in ``oracles``, which
+    tries every profile-respecting bijection."""
+
+    def test_candidate_stream_splits_like_the_reference(self, monkeypatch):
+        # Every labelled candidate of the default bounds with at most three
+        # edges, keyed both ways through the module attribute that class
+        # enumeration calls.  The whole default stream takes over 5 s this
+        # way; the corpus pin in test_checks covers its classes.
+        pairs = []
+
+        def keyed(graph):
+            key = canonical_key(graph)
+            pairs.append((key, oracles.reference_key(graph)))
+            return key
+
+        monkeypatch.setattr(checks, "canonical_key", keyed)
+        bounds = checks.CorpusBounds(5, 3, 4, 4, 0)
+        classes = checks._enumerate_hypergraph_classes(bounds)
+        assert len(pairs) == checks.estimate_candidates(bounds) == 6417
+        assert len(classes) == len({key for key, _ in pairs}) == 297
+        assert split_alike(pairs)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_keys_split_like_the_reference(self, data):
+        a = data.draw(hypergraphs(max_vertices=6, max_edges=6))
+        others = [relabel(a, {v: f"w{i}" for i, v in enumerate(reversed(a.vertices))})]
+        others += list(vertex_trades(a))[:4]
+        others.append(data.draw(hypergraphs(max_vertices=6, max_edges=6)))
+        assert split_alike(both_keys(g) for g in [a, *others])
+
+    @given(hypergraphs(max_vertices=7, max_edges=7))
+    @settings(max_examples=100, deadline=None)
+    def test_labelling_attains_the_key(self, g):
+        key, masks, _ = attained(g)
+        assert masks == key[2]
+
+    @pytest.mark.parametrize(
+        "make, sizes",
+        [
+            (path, range(1, 10)),
+            (cycle, range(3, 8)),
+            (complete_graph, range(1, 10)),
+            (simplex, range(1, 10)),
+            (star, range(1, 10)),
+            (doubled_matching, range(1, 5)),
+        ],
+    )
+    def test_named_labellings_attain_the_key(self, make, sizes):
+        for n in sizes:
+            key, masks, _ = attained(make(n))
+            assert masks == key[2]
+
+    def test_twin_blocks_are_not_searched(self):
+        # K_n, E_n and stars are one twin block per profile, so the key is
+        # the identity encoding of the class-major order, which decodes to
+        # the reference's key.  The reference is run up to K_7 and E_8;
+        # beyond that it takes seconds per graph.
+        for n in range(1, 10):
+            for g in (complete_graph(n), simplex(n), star(n)):
+                key, masks, moves = attained(g)
+                assert moves == () and masks == key[2]
+                copy = relabel(g, {v: f"x{i}" for i, v in enumerate(reversed(g.vertices))})
+                assert canonical_key(copy) == key
+                if g.edges and (n <= 7 or (n == 8 and len(g.edges) == 1)):
+                    decoded = tuple(
+                        sorted(tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in key[2])
+                    )
+                    assert decoded == oracles.reference_key(g)[2]
+
+    def test_searched_blocks_split_like_the_reference(self):
+        # Three doubled disjoint edges, C_6 and two disjoint triangles: six
+        # vertices of profile (2, 2) and six edges each, so one block of six
+        # is searched.  Likewise the private vertices of a star of 3-edges.
+        graphs = [doubled_matching(3), cycle(6), disjoint_union(cycle(3), cycle(3))]
+        assert len({tuple(profile_shape(g)) for g in graphs}) == 1
+        graphs += [star(3, size=3), star(2, size=4)]
+        graphs += [relabel(g, {v: f"y{i}" for i, v in enumerate(reversed(g.vertices))}) for g in graphs]
+        assert split_alike(both_keys(g) for g in graphs)
+        assert len({canonical_key(g) for g in graphs}) == 5
+        for g in graphs:
+            assert attained(g)[2] != ()
+
+    def test_refusals_count_bijections_before_fixing_twins(self):
+        # 10! > 2,000,000 although every block of these is twin-fixed and
+        # would need no search; 2! * 7! is under the cap.
+        for g in (complete_graph(10), simplex(10), star(10)):
+            with pytest.raises(SizeLimitError):
+                canonical_key(g)
+            with pytest.raises(SizeLimitError):
+                oracles.reference_key(g)
+        assert canonical_key(path(9)) == canonical_key(relabel(path(9), {"v1": "z"}))
+        assert canonical_key(Hypergraph(range(12))) == canonical_key(Hypergraph("abcdefghijkl"))
 
 
 class TestBuilders:

@@ -100,7 +100,7 @@ def embedding_images(motif_list, graph):
 
 def transversal_product(motif):
     """|Aut(motif)| as the stabilizer chain of a freshly built plan has it."""
-    plan = motifs._plan.__wrapped__(motif)
+    plan = motifs._build_plan.__wrapped__(motif)
     size = math.prod(len(level) + 1 for level in plan.levels)
     assert size == plan.group_size
     return size
@@ -217,6 +217,22 @@ class TestStabilizerChain:
 
     def test_plans_are_shared_per_motif(self):
         assert motifs._plan(complete_graph(4)) is motifs._plan(complete_graph(4))
+
+    def test_plans_survive_more_motifs_than_the_shared_cache_holds(self):
+        # 1,100 distinct motifs, more than the shared cache's 1,024 slots: a
+        # plan kept only there would be evicted and rebuilt on the second
+        # pass.  Each motif is a path whose vertex names no other test uses.
+        paths = []
+        for i in range(1100):
+            a, b, c = f"t{i}a", f"t{i}b", f"t{i}c"
+            paths.append(Hypergraph([a, b, c], {"x": (a, b), "y": (b, c)}))
+        scheme = MotifScheme(tuple(paths), 1)
+        graphs = [path(4), cycle(5), complete_graph(4)]
+        built = motifs._build_plan.cache_info().misses
+        first = [cluster(scheme, g) for g in graphs]
+        assert [cluster(scheme, g) for g in graphs] == first
+        assert motifs._build_plan.cache_info().misses - built == 1100
+        assert all(m._plan is not None for m in scheme.motifs)
 
 
 class TestExpansion:
