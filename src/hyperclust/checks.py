@@ -272,19 +272,16 @@ class Corpus:
     """An immutable collection of test graphs; the ``morphisms`` between
     them are built from the graphs and bounds on first read, and kept.
 
-    ``id_base`` offsets the printed graph ids; chunked corpora built for
-    parallel checks use it so their reports name graphs consistently with
-    the parent corpus.
+    A graph's id is ``g`` followed by its position in ``graphs``.
     """
 
-    __slots__ = ("bounds", "graphs", "_morphisms", "_index", "_id_base")
+    __slots__ = ("bounds", "graphs", "_morphisms", "_index")
 
-    def __init__(self, bounds, graphs, id_base=0):
+    def __init__(self, bounds, graphs):
         self.bounds = bounds
         self.graphs = tuple(graphs)
         self._morphisms = None
         self._index = {g: i for i, g in enumerate(self.graphs)}
-        self._id_base = id_base
 
     def __repr__(self):
         return f"Corpus({len(self.graphs)} graphs)"
@@ -297,7 +294,7 @@ class Corpus:
 
     def graph_id(self, graph):
         index = self._index.get(graph)
-        return None if index is None else f"g{index + self._id_base}"
+        return None if index is None else f"g{index}"
 
     def simple_graphs(self):
         return [g for g in self.graphs if g.is_simple()]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -39,9 +38,7 @@ from .graphs import (
 from .motifs import BudgetExceededError, enumerate_embeddings, motif_expansion
 from .partitions import clustering_to_json, remove_spurious
 from .checks import (
-    CheckReport,
     ClusterCache,
-    Corpus,
     CorpusBounds,
     SearchBounds,
     check_excisive,
@@ -227,53 +224,6 @@ def _bounds_from_args(args, bounds_class):
     )
 
 
-def _graph_check(kind, schemes, corpus, cache=None):
-    # Looks the checks up as module globals at call time, so a wrapper
-    # installed on ``cli.check_excisive`` or ``cli.check_refines`` sees the
-    # serial run and every worker alike.
-    if kind == "excisive":
-        return check_excisive(*schemes, corpus, cache)
-    if kind == "refines":
-        return check_refines(*schemes, corpus, cache)
-    return check_scheme_equal(*schemes, corpus, cache)
-
-
-def _parallel_check(kind, schemes, corpus, jobs):
-    import concurrent.futures
-    import multiprocessing
-
-    graphs = corpus.graphs
-    size = max(1, math.ceil(len(graphs) / jobs))
-    # At least one chunk, so an empty corpus still gives a report.
-    chunks = [
-        Corpus(corpus.bounds, graphs[start:start + size], id_base=start)
-        for start in range(0, max(1, len(graphs)), size)
-    ]
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=len(chunks), mp_context=context
-    ) as pool:
-        reports = list(
-            pool.map(functools.partial(_graph_check, kind, schemes), chunks)
-        )
-    # The graph-quantified checks loop over corpus graphs only, and each of
-    # their statistics counts something per graph (graphs, parts checked,
-    # failures).  The chunks split the graph list, so the corpus-wide
-    # statistics are the chunks' sums.
-    statistics = {
-        key: sum(report.statistics[key] for report in reports)
-        for key in reports[0].statistics
-    }
-    return CheckReport(
-        kind,
-        reports[0].schemes,
-        all(report.passed for report in reports),
-        statistics,
-        [entry for report in reports for entry in report.counterexamples],
-        corpus.bounds,
-    )
-
-
 _CHECK_NAMES = ("excisive", "functorial", "refines", "equal", "hull", "connected-hull")
 
 
@@ -283,8 +233,6 @@ def run_check(args):
             f"unknown property {args.property!r}; choose from "
             f"{', '.join(_CHECK_NAMES)}"
         )
-    if args.limit < 0:
-        raise ValueError(f"--limit must be at least 0, got {args.limit}")
     prop = args.property
     bounds = _bounds_from_args(args, CorpusBounds)
     corpus = generate_corpus(bounds, use_cache=not args.no_cache)
@@ -321,13 +269,13 @@ def run_check(args):
                 raise ValueError(f"{prop} needs --scheme")
             schemes = (parse_scheme_spec(args.scheme),)
         if prop == "functorial":
-            # Always serial: splitting it over worker processes measured
-            # slower than this loop on the default corpus.
             report = check_functorial(*schemes, corpus, cache)
-        elif args.jobs > 1:
-            report = _parallel_check(prop, schemes, corpus, args.jobs)
+        elif prop == "excisive":
+            report = check_excisive(*schemes, corpus, cache)
+        elif prop == "refines":
+            report = check_refines(*schemes, corpus, cache)
         else:
-            report = _graph_check(prop, schemes, corpus, cache)
+            report = check_scheme_equal(*schemes, corpus, cache)
     _emit_json(report.to_json(limit=args.limit), args.out)
     return 0 if report.passed else 1
 
@@ -382,19 +330,17 @@ def _bench_graph(family, n, cap, seed):
 
 
 def run_bench(args):
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     motif = parse_graph_arg(args.motif)
     if not motif.is_simple():
         raise ValueError("bench motifs must be simple graphs")
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if not sizes:
-        raise ValueError("bench needs at least one size")
-    graphs = [_bench_graph(args.family, n, args.cap, args.seed) for n in sizes]
+    graphs = [
+        _bench_graph(args.family, n, args.cap, args.seed) for n in args.sizes
+    ]
     if len({len(graph.vertices) for graph in graphs}) < len(graphs):
         # A slope needs distinct sizes; grid sides round n down to a square.
+        sizes = ",".join(map(str, args.sizes))
         raise ValueError(
-            f"--sizes {args.sizes} gives two {args.family} graphs of the same size"
+            f"--sizes {sizes} gives two {args.family} graphs of the same size"
         )
     rows = []
     for graph in graphs:
@@ -444,6 +390,23 @@ def _at_least(low):
     # argparse names the type in its "invalid int value" message.
     parse.__name__ = "int"
     return parse
+
+
+def _size_list(text):
+    """An argparse type: a nonempty comma-separated list of integers of at
+    least 1; empty entries are skipped."""
+    size = _at_least(1)
+    sizes = []
+    for token in filter(str.strip, text.split(",")):
+        try:
+            sizes.append(size(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"sizes must be integers, got {token.strip()!r}"
+            ) from None
+    if not sizes:
+        raise argparse.ArgumentTypeError("needs at least one size")
+    return sizes
 
 
 def _add_bounds_flags(parser, bounds_class):
@@ -499,15 +462,7 @@ def build_parser():
         "every check, and functorial checks its 2^n restriction inclusions, "
         "so keep extras small",
     )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="split the corpus graphs over N worker processes for excisive, "
-        "refines and equal; functorial and the hull checks always run "
-        "serially",
-    )
-    p.add_argument("--limit", type=int, default=25)
+    p.add_argument("--limit", type=_at_least(0), default=25)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")
     _add_bounds_flags(p, CorpusBounds)
@@ -534,10 +489,12 @@ def build_parser():
     p.add_argument(
         "--family", choices=("random", "grid", "path", "hub"), default="random"
     )
-    p.add_argument("--cap", type=int, default=2, help="degeneracy cap")
-    p.add_argument("--sizes", required=True, help="comma-separated n values")
+    p.add_argument("--cap", type=_at_least(0), default=2, help="degeneracy cap")
+    p.add_argument(
+        "--sizes", type=_size_list, required=True, help="comma-separated n values"
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--repeat", type=_at_least(1), default=1)
     p.add_argument("--out")
     p.set_defaults(handler=run_bench)
 

@@ -647,15 +647,6 @@ def fused_triples_host():
     )
 
 
-def relabel(graph, mapping):
-    """A copy with vertices renamed through ``mapping`` (a bijection)."""
-    target = {v: str(mapping.get(v, v)) for v in graph.vertices}
-    if len(set(target.values())) != len(target):
-        raise ValueError("relabelling must stay injective")
-    edges = {eid: frozenset(target[v] for v in s) for eid, s in graph.edges.items()}
-    return Hypergraph(target.values(), edges)
-
-
 def disjoint_union(left, right):
     """Disjoint union; vertices and edge ids get .l/.r suffixes."""
     vertices = [f"{v}.l" for v in left.vertices] + [f"{v}.r" for v in right.vertices]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -363,23 +362,6 @@ def _check_motifs(motifs):
 def expansion_edge_id(index, mapping):
     pairs = ",".join(f"{a}:{b}" for a, b in sorted(mapping.items()))
     return f"m{index}[{pairs}]"
-
-
-_EDGE_ID = re.compile(r"^m(\d+)\[(.*)\]$")
-
-
-def expansion_provenance(edge_id):
-    """Recover (motif index, vertex map) from an expansion edge id."""
-    match = _EDGE_ID.match(edge_id)
-    if not match:
-        raise ValueError(f"not an expansion edge id: {edge_id}")
-    mapping = {}
-    body = match.group(2)
-    if body:
-        for pair in body.split(","):
-            a, _, b = pair.partition(":")
-            mapping[a] = b
-    return int(match.group(1)), mapping
 
 
 def motif_expansion(motifs, graph, budget=None):

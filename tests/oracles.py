@@ -3,18 +3,21 @@
 Everything here is deliberately naive: permutation scans, brute-force
 subset enumeration, or thin wrappers over networkx.  The library under test
 must agree with these on every graph small enough to afford them.  The
-helpers at the end (morphism JSON round trips, the morphism validity sweep)
-serve only the tests, so they live here rather than in the package.
+helpers at the end (relabelling, the expansion edge-id parser, morphism
+JSON round trips, the morphism validity sweep) serve only the tests, so
+they live here rather than in the package.
 """
 
 import functools
 import itertools
+import re
 
 import networkx as nx
 
 from hyperclust.graphs import (
     _PERM_CAP,
     GraphMorphism,
+    Hypergraph,
     SizeLimitError,
     validate_graph_morphism,
 )
@@ -228,7 +231,35 @@ def reference_key(graph):
 
 
 # ---------------------------------------------------------------------------
-# morphism round trips and corpus self-checks
+# test-only helpers: relabelling, edge-id parsing, morphism round trips and
+# corpus self-checks
+
+def relabel(graph, mapping):
+    """A copy with vertices renamed through ``mapping`` (a bijection)."""
+    target = {v: str(mapping.get(v, v)) for v in graph.vertices}
+    if len(set(target.values())) != len(target):
+        raise ValueError("relabelling must stay injective")
+    edges = {eid: frozenset(target[v] for v in s) for eid, s in graph.edges.items()}
+    return Hypergraph(target.values(), edges)
+
+
+_EDGE_ID = re.compile(r"^m(\d+)\[(.*)\]$")
+
+
+def expansion_provenance(edge_id):
+    """Recover (motif index, vertex map) from an expansion edge id, as
+    ``motifs.expansion_edge_id`` prints it."""
+    match = _EDGE_ID.match(edge_id)
+    if not match:
+        raise ValueError(f"not an expansion edge id: {edge_id}")
+    mapping = {}
+    body = match.group(2)
+    if body:
+        for pair in body.split(","):
+            a, _, b = pair.partition(":")
+            mapping[a] = b
+    return int(match.group(1)), mapping
+
 
 def morphism_to_json(morphism):
     return {"map": dict(sorted(morphism.map.items()))}

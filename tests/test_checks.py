@@ -36,7 +36,6 @@ from hyperclust.graphs import (
     hypergraph_to_json,
     linear_triangle,
     path,
-    relabel,
     restrict,
     simplex,
     triangle_with_tail,
@@ -51,6 +50,7 @@ from hyperclust.schemes import (
 )
 
 import oracles
+from oracles import relabel
 
 TINY = CorpusBounds(
     max_vertices=2,

@@ -373,41 +373,55 @@ class TestCheck:
         assert f"argument {flag}: must be at least {low}, got {value}" in err
 
     def test_negative_limit_is_refused(self, capsys):
-        code, out, err = run_cli(
+        out, err = refused_at_parse(
             capsys, "check", "equal",
             "--scheme", "representable:{E*},k=1",
             "--scheme2", "representable:{E*},k=inf",
             "--limit", "-1", *SMALL,
         )
-        assert code == 2
         assert out == ""
-        assert "--limit" in err
+        assert "argument --limit: must be at least 0, got -1" in err
 
     @pytest.mark.parametrize(
-        "argv, jobs, expected",
+        "argv, expected, statistics",
         [
-            (["excisive", "--scheme", "toy:component_rule", *SMALL], "2", 1),
-            (["refines", *TWO_SCHEMES, *SMALL], "3", 1),
-            (["equal", *TWO_SCHEMES, *SMALL], "2", 1),
+            (
+                ["excisive", "--scheme", "toy:component_rule", *SMALL],
+                1,
+                {"failures": 6, "graphs": 36, "parts_checked": 61},
+            ),
+            (["refines", *TWO_SCHEMES, *SMALL], 1, {"failures": 13, "graphs": 36}),
+            (["equal", *TWO_SCHEMES, *SMALL], 1, {"failures": 13, "graphs": 36}),
             (
                 ["functorial", "--scheme", "toy:always_one_part_except_K2", *SMALL],
-                "3",
                 1,
+                {"failures": 4, "graphs": 36, "morphisms": 827},
             ),
-            # three corpus graphs, one per job
-            (["excisive", *E_STAR_2, *TINY, "--max-vertices", "1"], "3", 0),
-            # a single corpus graph, fewer than the jobs
-            (["excisive", *E_STAR_2, *TINY, "--max-vertices", "0"], "2", 0),
+            # three corpus graphs
+            (
+                ["excisive", *E_STAR_2, *TINY, "--max-vertices", "1"],
+                0,
+                {"failures": 0, "graphs": 3, "parts_checked": 1},
+            ),
+            # a single corpus graph, the empty one
+            (
+                ["excisive", *E_STAR_2, *TINY, "--max-vertices", "0"],
+                0,
+                {"failures": 0, "graphs": 1, "parts_checked": 0},
+            ),
         ],
         ids=["excisive", "refines", "equal", "functorial", "tiny", "one-graph"],
     )
-    def test_parallel_run_matches_serial(self, capsys, argv, jobs, expected):
-        serial_code, serial, _ = run_cli(capsys, "check", *argv)
-        code, parallel, _ = run_cli(capsys, "check", *argv, "--jobs", jobs)
-        assert code == serial_code == expected
-        assert parallel == serial
+    def test_check_statistics(self, capsys, argv, expected, statistics):
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == expected
+        shown = statistics["failures"]
+        assert json.loads(out)["statistics"] == {
+            "counterexamples_shown": shown,
+            "counterexamples_total": shown,
+            **statistics,
+        }
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "argv, expected",
         [
@@ -418,14 +432,19 @@ class TestCheck:
         ids=["excisive", "refines", "equal"],
     )
     def test_graph_checks_never_build_morphisms(
-        self, capsys, monkeypatch, argv, expected, jobs
+        self, capsys, monkeypatch, argv, expected
     ):
         def refuse(graphs, bounds):
             raise AssertionError("a graph check built the corpus morphisms")
 
         monkeypatch.setattr(checks, "_build_morphisms", refuse)
-        code, _, _ = run_cli(capsys, "check", *argv, *SMALL, "--jobs", jobs)
+        code, _, _ = run_cli(capsys, "check", *argv, *SMALL)
         assert code == expected
+
+    def test_jobs_is_not_an_option(self, capsys):
+        out, err = refused_at_parse(capsys, "check", "excisive", *E_STAR_2, "--jobs", "2")
+        assert out == ""
+        assert "unrecognized arguments: --jobs 2" in err
 
     def test_functorial_checks_extra_graphs(self, capsys):
         base = ("check", "functorial", *E_STAR_2, *SMALL)
@@ -592,13 +611,48 @@ class TestBench:
         assert "simple" in err
 
     def test_repeat_below_one_is_refused(self, capsys):
-        code, out, err = run_cli(
+        out, err = refused_at_parse(
             capsys, "bench", "--motif", "K_2", "--family", "path",
             "--sizes", "10", "--repeat", "0",
         )
-        assert code == 2
         assert out == ""
-        assert "--repeat" in err
+        assert "argument --repeat: must be at least 1, got 0" in err
+
+    def test_negative_cap_is_refused(self, capsys):
+        out, err = refused_at_parse(
+            capsys, "bench", "--motif", "P_3", "--sizes", "10,20", "--cap", "-1",
+        )
+        assert out == ""
+        assert "argument --cap: must be at least 0, got -1" in err
+
+    @pytest.mark.parametrize(
+        "family, sizes, message",
+        [
+            ("random", "10,x", "sizes must be integers, got 'x'"),
+            ("random", "0,10", "must be at least 1, got 0"),
+            ("path", "0,10", "must be at least 1, got 0"),
+            ("grid", "10,-4", "must be at least 1, got -4"),
+            ("hub", " , ", "needs at least one size"),
+        ],
+    )
+    def test_bad_sizes_are_refused(self, capsys, family, sizes, message):
+        out, err = refused_at_parse(
+            capsys, "bench", "--motif", "P_3", "--family", family, "--sizes", sizes,
+        )
+        assert out == ""
+        assert f"argument --sizes: {message}" in err
+
+    def test_sizes_skip_empty_entries(self, capsys):
+        _, spaced, _ = run_cli(
+            capsys, "bench", "--motif", "K_2", "--family", "path",
+            "--sizes", " 10, ,20,",
+        )
+        _, plain, _ = run_cli(
+            capsys, "bench", "--motif", "K_2", "--family", "path", "--sizes", "10,20",
+        )
+        counts = [line.split(",")[:2] for line in spaced.splitlines()[1:3]]
+        assert counts == [line.split(",")[:2] for line in plain.splitlines()[1:3]]
+        assert counts == [["10", "18"], ["20", "38"]]
 
     @pytest.mark.parametrize(
         "family, sizes", [("random", "100,100"), ("grid", "100,120")]

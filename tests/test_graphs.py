@@ -35,7 +35,6 @@ from hyperclust.graphs import (
     linear_triangle,
     path,
     random_degenerate_graph,
-    relabel,
     restrict,
     simplex,
     triangle_with_tail,
@@ -44,6 +43,7 @@ from hyperclust.graphs import (
 )
 
 import oracles
+from oracles import relabel
 
 
 # Opt-in vertex names, all used, containing the separator of set_name: the

@@ -25,13 +25,13 @@ from hyperclust.motifs import (
     embedding_count_bound,
     enumerate_embeddings,
     expansion_edge_sets,
-    expansion_provenance,
     is_spanned,
     motif_expansion,
 )
 from hyperclust.schemes import MotifScheme, cluster
 
 import oracles
+from oracles import expansion_provenance
 from test_graphs import hypergraphs, simple_graphs
 
 # Motifs with large automorphism groups, and ones whose automorphisms are
