@@ -392,6 +392,10 @@ def _canonical_form(graph, classes):
     order of the masks, and ``moves`` holds one ``(start, perm)`` per block
     that was searched, sending ``order[start + i]`` to position ``start +
     perm[i]``; every other vertex keeps its index in ``order``.
+
+    This is the labelled part: it reads the vertex names to build ``order``
+    and each edge's mask over it.  The search, which sees only the shape and
+    the sorted masks, is :func:`_canonical_code`, memoised on them.
     """
     n = len(graph.vertices)
     shape = tuple([(p, len(vs)) for p, vs in classes])
@@ -399,8 +403,24 @@ def _canonical_form(graph, classes):
     if not graph.edges:
         return (n, shape, ()), order, ()
     bit = {v: 1 << i for i, v in enumerate(order)}.__getitem__
-    masks = [sum(map(bit, s)) for s in graph.edges.values()]
-    encoded = sorted(masks)
+    masks = tuple(sorted([sum(map(bit, s)) for s in graph.edges.values()]))
+    code, moves = _canonical_code(shape, masks)
+    return (n, shape, code), order, moves
+
+
+# Sized to hold every distinct encoding of the labelled candidates at
+# max_edges 5 (7,319; 1,570 at the default bounds) without eviction.
+@functools.lru_cache(maxsize=8192)
+def _canonical_code(shape, masks):
+    """The minimum sorted relabelled masks and the block moves attaining it.
+
+    ``shape`` is the profile classes' ``(profile, size)`` in order and
+    ``masks`` the sorted edge masks over the class-major order.  Returns
+    ``(code, moves)`` as in :func:`_canonical_form`.  Raises
+    :class:`SizeLimitError` when the classes allow more than ``_PERM_CAP``
+    bijections; an exception is not cached, so such a shape is refused on
+    every call.
+    """
     # A block whose neighbouring members can all trade places without
     # changing the edge multiset lies wholly in Aut(G): every order of it
     # encodes alike, so it stays where it is.  The rest are searched.  The
@@ -408,8 +428,7 @@ def _canonical_form(graph, classes):
     moving = []
     start = 0
     total = 1
-    for _, vs in classes:
-        size = len(vs)
+    for _, size in shape:
         if size > 1:
             total *= math.factorial(size)
             if total > _PERM_CAP:
@@ -417,12 +436,12 @@ def _canonical_form(graph, classes):
             for i in range(start, start + size - 1):
                 pair, low = 3 << i, 1 << i
                 swapped = [m ^ pair if (m & pair) in (low, pair ^ low) else m for m in masks]
-                if sorted(swapped) != encoded:
+                if tuple(sorted(swapped)) != masks:
                     moving.append((start, size))
                     break
         start += size
     if not moving:
-        return (n, shape, tuple(encoded)), order, ()
+        return masks, ()
 
     # The fixed vertices keep their bits; each searched block adds, per
     # permutation, its relabelled bits of every edge.  The largest block is
@@ -443,7 +462,7 @@ def _canonical_form(graph, classes):
             encoded = sorted(encoded)
             if best is None or encoded < best:
                 best, choice = encoded, (perm, *(p for p, _ in combo))
-    return (n, shape, tuple(best)), order, tuple(zip((s for s, _ in moving), choice))
+    return tuple(best), tuple(zip((s for s, _ in moving), choice))
 
 
 def _relabelled(masks, start, size):
@@ -485,6 +504,17 @@ def canonical_key(graph):
     block's symmetric group, so that group lies in Aut(G); composing any
     bijection with one of its members gives the same encoding, so one order
     of the block attains the minimum as well as every other.
+
+    The search is memoised on ``(shape, sorted masks)``, the graph's
+    class-major encoding.  It never reads a vertex name: the twin test, the
+    bijection count and the block permutations act on bit positions only, so
+    its code and its block moves are a function of the encoding.  Two graphs
+    with the same encoding differ by a relabelling that keeps each class on
+    its block of positions, so they are isomorphic, get the same key, and
+    the same moves attain it on each graph's own order.  Only the labelled
+    part (the classes, the order and the masks) is computed per call; the
+    candidate stream of the default corpus has 1,570 distinct encodings
+    among its 50,623 graphs.
 
     Graphs with edges and more than 2,000,000 profile-respecting bijections
     are refused with :class:`SizeLimitError`.  The count is the product of

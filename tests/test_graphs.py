@@ -13,6 +13,7 @@ from hyperclust.graphs import (
     GraphMorphism,
     Hypergraph,
     SizeLimitError,
+    _canonical_code,
     _canonical_form,
     _labelling,
     _profile_classes,
@@ -400,7 +401,8 @@ class TestCanonicalForm:
         # Every labelled candidate of the default bounds with at most three
         # edges, keyed both ways through the module attribute that class
         # enumeration calls.  The whole default stream takes over 5 s this
-        # way; the corpus pin in test_checks covers its classes.
+        # way; the corpus pin in test_checks covers its classes.  The search
+        # runs once per distinct class-major encoding with edges.
         pairs = []
 
         def keyed(graph):
@@ -410,7 +412,9 @@ class TestCanonicalForm:
 
         monkeypatch.setattr(checks, "canonical_key", keyed)
         bounds = checks.CorpusBounds(5, 3, 4, 4, 0)
+        _canonical_code.cache_clear()
         classes = checks._enumerate_hypergraph_classes(bounds)
+        assert _canonical_code.cache_info().misses == 338
         assert len(pairs) == checks.estimate_candidates(bounds) == 6417
         assert len(classes) == len({key for key, _ in pairs}) == 297
         assert split_alike(pairs)
@@ -476,14 +480,30 @@ class TestCanonicalForm:
         for g in graphs:
             assert attained(g)[2] != ()
 
+    def test_equal_encodings_share_one_search(self):
+        # Prefixing every name keeps their order, so both copies put the
+        # edges on the same bits; C_6 is one searched block of six.
+        for g in (cycle(6), star(3, size=3)):
+            copy = relabel(g, {v: f"z{v}" for v in g.vertices})
+            key, masks, moves = attained(g)
+            size = _canonical_code.cache_info().currsize
+            copy_key, copy_masks, copy_moves = attained(copy)
+            assert moves != () and copy_moves == moves
+            assert masks == key[2] and copy_masks == copy_key[2] and copy_key == key
+            assert _canonical_code.cache_info().currsize == size
+
     def test_refusals_count_bijections_before_fixing_twins(self):
         # 10! > 2,000,000 although every block of these is twin-fixed and
-        # would need no search; 2! * 7! is under the cap.
+        # would need no search; 2! * 7! is under the cap.  A refusal is not
+        # remembered, so it comes again on the next call.
+        size = _canonical_code.cache_info().currsize
         for g in (complete_graph(10), simplex(10), star(10)):
-            with pytest.raises(SizeLimitError):
-                canonical_key(g)
+            for _ in range(2):
+                with pytest.raises(SizeLimitError):
+                    canonical_key(g)
             with pytest.raises(SizeLimitError):
                 oracles.reference_key(g)
+        assert _canonical_code.cache_info().currsize == size
         assert canonical_key(path(9)) == canonical_key(relabel(path(9), {"v1": "z"}))
         assert canonical_key(Hypergraph(range(12))) == canonical_key(Hypergraph("abcdefghijkl"))
 
