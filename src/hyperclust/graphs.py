@@ -46,12 +46,15 @@ class Hypergraph:
     :func:`validate_hypergraph` for those, so that malformed inputs can be
     reported rather than half-rejected.  Graphs compare equal when both the
     vertex tuple and the id -> set mapping agree, and they hash, so they can
-    key caches.  A graph used as a motif keeps its embedding-search plan in
-    ``_plan`` (see :func:`hyperclust.motifs._plan`); like the edge sets, it
-    is built on first use and not shared with graphs made from this one.
+    key caches; the hash is computed on first use.  Three slots are built
+    lazily and kept for the graph's life: the distinct edge sets, the
+    embedding-search plan of a graph used as a motif (``_plan``, see
+    :func:`hyperclust.motifs._plan`), and the index a search into this graph
+    reads (:meth:`search_index`).  None is shared with graphs made from this
+    one.
     """
 
-    __slots__ = ("vertices", "edges", "_hash", "_edge_sets", "_plan")
+    __slots__ = ("vertices", "edges", "_hash", "_edge_sets", "_plan", "_index")
 
     def __init__(self, vertices=(), edges=None):
         vs = tuple(sorted({str(v) for v in vertices}))
@@ -66,9 +69,10 @@ class Hypergraph:
             raise ValueError("duplicate edge ids: " + ", ".join(dups))
         self.vertices = vs
         self.edges = dict(sorted(items))
-        self._hash = hash((vs, tuple(self.edges.items())))
+        self._hash = None
         self._edge_sets = None
         self._plan = None
+        self._index = None
 
     @classmethod
     def _make(cls, vertices, edges):
@@ -77,9 +81,10 @@ class Hypergraph:
         g = cls.__new__(cls)
         g.vertices = vertices
         g.edges = edges
-        g._hash = hash((vertices, tuple(edges.items())))
+        g._hash = None
         g._edge_sets = None
         g._plan = None
+        g._index = None
         return g
 
     @property
@@ -98,6 +103,14 @@ class Hypergraph:
             sets = self._edge_sets = frozenset(self.edges.values())
         return sets
 
+    def search_index(self):
+        """The :class:`SearchIndex` an embedding search into this graph
+        reads, built on the first call and kept like :meth:`edge_sets`."""
+        index = self._index
+        if index is None:
+            index = self._index = SearchIndex(self.edge_sets())
+        return index
+
     def is_simple(self):
         """True when this is an ordinary graph: all edges have two vertices
         and no two edges share a vertex set."""
@@ -110,10 +123,60 @@ class Hypergraph:
         return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.vertices, tuple(self.edges.items())))
+        return h
 
     def __repr__(self):
         return f"Hypergraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+
+
+class SearchIndex(dict):
+    """What an embedding search into one graph looks up, kept on the graph.
+
+    Incidence: ``through[size][vertex]`` lists the distinct edge sets of
+    that size through the vertex, built in one pass over the edge sets.
+    Co-members: ``index[size][vertex]`` is the set of vertices that share a
+    size-``size`` edge with the vertex, as ``(ascending tuple, frozenset)``.
+    Each such entry is filled the first time a search asks for it and then
+    kept, so a graph searched once pays only for the entries that search
+    reads, and no entry depends on the motif searched for.
+
+    Both parts are keyed by size first, not by ``(vertex, size)`` pairs,
+    because every object a kept index holds counts towards the cyclic
+    garbage collector's next pass, and a check that searches each of
+    thousands of small graphs once keeps all their indexes alive.
+    """
+
+    __slots__ = ("through",)
+
+    def __init__(self, sets):
+        through = self.through = {}
+        for s in sets:
+            by_vertex = through.setdefault(len(s), {})
+            for v in s:
+                by_vertex.setdefault(v, []).append(s)
+
+    def __missing__(self, size):
+        entry = self[size] = CoMembers(self.through.get(size, {}))
+        return entry
+
+
+class CoMembers(dict):
+    """vertex -> the vertices sharing one of ``through``'s edges with it, as
+    ``(ascending tuple, frozenset)``; filled on first lookup."""
+
+    __slots__ = ("through",)
+
+    def __init__(self, through):
+        self.through = through
+
+    def __missing__(self, v):
+        members = set().union(*self.through.get(v, ()))
+        members.discard(v)
+        entry = self[v] = (tuple(sorted(members)), frozenset(members))
+        return entry
 
 
 def validate_hypergraph(graph):

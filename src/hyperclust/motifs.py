@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 
 from .graphs import GraphMorphism, Hypergraph, SizeLimitError, independence_number
@@ -70,7 +70,7 @@ class _Plan:
     closes them and ``placed`` is the rest of the edge.  ``needs[i]`` is the
     ``(edge size, count)`` profile a target vertex must meet, and
     ``kinds[i]`` numbers the distinct profiles, so positions that share one
-    share the search's tables.  ``lower[i]`` lists the earlier positions
+    share the search's profile set.  ``lower[i]`` lists the earlier positions
     whose images the image of i must exceed, and ``levels`` the stabilizer
     chain's non-identity transversal elements, as getters on image tuples in
     sorted-vertex order; ``slots`` turns a position-ordered image tuple into
@@ -146,7 +146,6 @@ def _stabilizer_chain(plan, motif):
     """
     order = plan.order
     n = len(order)
-    sets = motif.edge_sets()
     position = {v: i for i, v in enumerate(order)}
     sorted_at = {v: k for k, v in enumerate(motif.vertices)}
     unconstrained = ((),) * n
@@ -160,7 +159,7 @@ def _stabilizer_chain(plan, motif):
             if plan.needs[position[w]] != plan.needs[i]:
                 continue
             pins[i] = w
-            hit = _search(plan, motif, sets, unconstrained, pins, first=True)
+            hit = _search(plan, motif, unconstrained, pins, first=True)
             if hit:
                 lower[position[w]].append(i)
                 image = dict(zip(order, hit[0]))
@@ -171,21 +170,29 @@ def _stabilizer_chain(plan, motif):
     return tuple(map(tuple, lower)), tuple(levels), group_size
 
 
-def _search(plan, graph, sets, lower, pins=None, first=False, budget=None):
+def _ranked_length(entry):
+    return len(entry[0])
+
+
+def _search(plan, graph, lower, pins=None, first=False, budget=None):
     """The search kernel: position-ordered image tuples of the embeddings
     of the plan's motif into ``graph`` whose image at i exceeds the images
     at ``lower[i]`` and equals ``pins[i]`` where pinned; only the first one
-    found when ``first``.  ``sets`` are the graph's distinct edge sets.
+    found when ``first``.
 
     An iterative depth-first walk with one candidate cursor per depth.  The
     candidates for position i are the intersection of the vertex sets of
-    its completion requests (see :class:`_Plan`), taken smallest set first:
-    that set is walked in ascending vertex order from just above the largest
-    image at ``lower[i]``, and a candidate stays if the other sets hold it.
-    The sets come from tables filled lazily per call and already filtered by
-    the position's profile test, so each is built once per call from the
-    edges through its placed images, and embeddings come out in the same
-    order as from trying every vertex in turn.
+    its completion requests (see :class:`_Plan`): the smallest set is walked
+    in ascending vertex order from just above the largest image at
+    ``lower[i]``, and the others filter it by membership, all as one chain
+    of C-level iterators, so embeddings come out in the same order as from
+    trying every vertex in turn.  A request with one placed image is read
+    from the graph's :meth:`~hyperclust.graphs.Hypergraph.search_index`,
+    which the graph's first search builds and every later search reuses;
+    only completions of two or more placed images go into a table of this
+    call.  The profile test is a last filter against the position's profile
+    set, left out when every vertex of the graph meets the profile, so no
+    index entry depends on the motif.
 
     A node is a candidate that passes the injectivity, order and profile
     tests and every closing-edge test; each counts against ``budget``.
@@ -195,71 +202,67 @@ def _search(plan, graph, sets, lower, pins=None, first=False, budget=None):
     if n == 0:
         # A motif with no vertices has one embedding, the empty map.
         return [()]
-    # (vertex, edge size) -> the distinct edge sets of that size through it.
-    through = {}
-    for s in sets:
-        size = len(s)
-        for v in s:
-            through.setdefault((v, size), []).append(s)
-    # Filled as the search asks.  ``table[kind]`` holds the vertices meeting
-    # that profile kind as (ascending tuple, set), and ``table[kind, size,
-    # *images]`` those of them that complete the images to a size-edge, as
-    # an ascending tuple.
+    vertices = graph.vertices
+    index = graph.search_index()
+    through = index.through
+    # kind -> the vertices meeting that profile, or None when all of them do.
+    fitting = {}
+    for i, kind in enumerate(kinds):
+        if kind not in fitting:
+            fits = vertices
+            for size, count in needs[i]:
+                incident = through.get(size, {})
+                fits = [w for w in fits if len(incident.get(w, ())) >= count]
+            fitting[kind] = None if len(fits) == len(vertices) else frozenset(fits)
+    profile = [fitting[kind] for kind in kinds]
+    # (size, *images) -> the vertices completing the images to a size-edge,
+    # as (ascending tuple, set), filled as the search asks.
     table = {}
     image = [None] * n
     image_at = image.__getitem__
 
-    def fitting(i):
-        fits = graph.vertices
-        for size, count in needs[i]:
-            fits = [w for w in fits if len(through.get((w, size), ())) >= count]
-        entry = table[kinds[i]] = (tuple(fits), set(fits))
-        return entry
-
-    def completions(i, key):
-        size, held = key[1], key[2:]
-        edges = through.get((held[0], size), ())
-        if len(held) > 1:
-            edges = [s for s in edges if s.issuperset(held)]
+    def completions(key):
+        size, held = key[0], key[1:]
+        edges = [s for s in through.get(size, {}).get(held[0], ()) if s.issuperset(held)]
         members = set().union(*edges)
         members.difference_update(held)
-        members.intersection_update((table.get(kinds[i]) or fitting(i))[1])
-        ranked = table[key] = tuple(sorted(members))
-        return ranked
+        entry = table[key] = (tuple(sorted(members)), members)
+        return entry
 
     def candidates(i):
         reqs = requests[i]
+        others = ()
         if not reqs:
-            seq = (table.get(kinds[i]) or fitting(i))[0]
-            others = ()
+            seq = vertices
         else:
-            kind = kinds[i]
             entries = []
             for size, placed in reqs:
                 if len(placed) == 1:
-                    key = (kind, size, image[placed[0]])
+                    entry = index[size][image[placed[0]]]
                 else:
-                    key = (kind, size, *map(image_at, placed))
-                ranked = table.get(key)
-                if ranked is None:
-                    ranked = completions(i, key)
-                entries.append(ranked)
+                    key = (size, *map(image_at, placed))
+                    entry = table.get(key)
+                    if entry is None:
+                        entry = completions(key)
+                entries.append(entry)
             if len(entries) > 1:
-                entries.sort(key=len)
-            seq = entries[0]
-            others = entries[1:]
+                entries.sort(key=_ranked_length)
+                others = entries[1:]
+            seq = entries[0][0]
         low = lower[i]
         if low:
             floor = image[low[0]] if len(low) == 1 else max(map(image_at, low))
-            seq = seq[bisect_right(seq, floor):]
+            walk = itertools.islice(seq, bisect_right(seq, floor), None)
+        else:
+            walk = iter(seq)
         for other in others:
-            seq = [
-                w for w in seq
-                if (k := bisect_left(other, w)) < len(other) and other[k] == w
-            ]
+            walk = filter(other[1].__contains__, walk)
+        fits = profile[i]
+        if fits is not None:
+            walk = filter(fits.__contains__, walk)
         if pins and i in pins:
-            return iter((pins[i],) if pins[i] in seq else ())
-        return iter(seq)
+            return iter((pins[i],) if pins[i] in walk else ())
+        return walk
 
     used = set()
     last = n - 1
@@ -299,6 +302,10 @@ def _representatives(motif, graph, budget=None):
 
     Symmetry-breaking constraints ``image[i] < image[j]``, read off a
     stabilizer chain of Aut(motif), admit exactly one member of each coset.
+    The search (see :func:`_search`) reads the index kept on ``graph``,
+    built by the graph's first search and reused by every later one, and
+    tests each vertex's edge-size profile as it walks; what it builds per
+    call is only the completions of two or more placed images.
     ``budget`` caps the search's nodes as in :func:`enumerate_embeddings`.
     This never calls :func:`enumerate_embeddings`, so a wrapper installed on
     that function counts no calls made from here.
@@ -306,12 +313,11 @@ def _representatives(motif, graph, budget=None):
     plan = _plan(motif)
     if len(plan.order) > len(graph.vertices):
         return []
-    sets = graph.edge_sets()
-    have = list(map(len, sets))
+    have = list(map(len, graph.edge_sets()))
     for size, count in plan.sizes:
         if have.count(size) < count:
             return []
-    found = _search(plan, graph, sets, plan.lower, budget=budget)
+    found = _search(plan, graph, plan.lower, budget=budget)
     return [tuple([rep[p] for p in plan.slots]) for rep in found]
 
 

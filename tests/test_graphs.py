@@ -130,6 +130,15 @@ class TestHypergraph:
         assert g.edge_sets() is first
         assert first == frozenset(g.edges.values())
 
+    def test_made_graph_hashes_like_the_constructed_one(self):
+        built = fused_triples_host()
+        made = Hypergraph._make(built.vertices, dict(built.edges))
+        assert made._hash is None
+        assert made == built and hash(made) == hash(built)
+        assert made._hash == hash(built)
+        assert {built: "kept"}[made] == "kept"
+        assert {made: "kept"}[built] == "kept"
+
     def test_validate_flags_unknown_vertices_and_empty_edges(self):
         g = Hypergraph("ab", {"e1": ("a", "c"), "e2": ()})
         report = validate_hypergraph(g)

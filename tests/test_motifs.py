@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperclust import graphs
 from hyperclust.graphs import (
     Hypergraph,
     build_named,
@@ -14,6 +15,8 @@ from hyperclust.graphs import (
     disjoint_union,
     linear_triangle,
     path,
+    random_degenerate_graph,
+    restrict,
     simplex,
     validate_graph_morphism,
 )
@@ -28,7 +31,7 @@ from hyperclust.motifs import (
     is_spanned,
     motif_expansion,
 )
-from hyperclust.schemes import MotifScheme, cluster
+from hyperclust.schemes import MotifScheme, SharedEdgeScheme, cluster
 
 import oracles
 from oracles import expansion_provenance
@@ -233,6 +236,128 @@ class TestStabilizerChain:
         assert [cluster(scheme, g) for g in graphs] == first
         assert motifs._build_plan.cache_info().misses - built == 1100
         assert all(m._plan is not None for m in scheme.motifs)
+
+
+def node_count(motif, graph):
+    """The smallest budget under which the representative search of
+    ``motif`` into ``graph`` finishes: the number of nodes it visits."""
+    low, high = -1, 1
+    while True:
+        try:
+            motifs._representatives(motif, graph, budget=high)
+            break
+        except BudgetExceededError:
+            low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            motifs._representatives(motif, graph, budget=middle)
+            high = middle
+        except BudgetExceededError:
+            low = middle
+    return high
+
+
+def found_under(motif, graph, budget):
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_embeddings(motif, graph, budget=budget)
+    return err.value.found
+
+
+def fresh_copy(graph):
+    return Hypergraph._make(graph.vertices, dict(graph.edges))
+
+
+class TestSearchIndex:
+    """The index a search reads is kept on the target graph: built on its
+    first search, reused by every later one, and never shared with graphs
+    made from it."""
+
+    def test_one_graph_builds_its_incidence_once(self, monkeypatch):
+        built = []
+
+        class Counting(graphs.SearchIndex):
+            def __init__(self, sets):
+                built.append(sets)
+                super().__init__(sets)
+
+        monkeypatch.setattr(graphs, "SearchIndex", Counting)
+        g = random_degenerate_graph(60, 4, random.Random(3))
+        triangle = complete_graph(3)
+        by_motif = cluster(MotifScheme((triangle,), 2), g)
+        index = g._index
+        assert isinstance(index, Counting)
+        by_labels = cluster(SharedEdgeScheme(triangle), g)
+        assert g._index is index
+        assert built.count(g.edge_sets()) == 1
+        assert by_motif.parts == by_labels.parts
+
+    def test_restriction_and_copy_start_without_an_index(self):
+        g = random_degenerate_graph(30, 3, random.Random(5))
+        motifs._representatives(complete_graph(3), g)
+        assert g._index is not None
+        sub, _ = restrict(g, g.vertices[:20])
+        copy = fresh_copy(g)
+        assert sub._index is None and copy._index is None
+        motifs._representatives(complete_graph(3), sub)
+        motifs._representatives(complete_graph(3), copy)
+        assert sub._index is not g._index and copy._index is not g._index
+        assert copy._index.through == g._index.through
+
+    # Nodes of the representative search, and the embeddings an overrun one
+    # node early reports, pinned so that a change to the kernel's tables
+    # cannot move the point where a budget trips.
+    @pytest.mark.parametrize(
+        "target, motif, nodes, found",
+        [
+            ("hub", "K_3", 799, 1194),
+            ("hub", "K_4", 791, 0),
+            ("hub", "P_3", 21495, 40992),
+            ("hub", "C_4", 1392, 1584),
+            ("random", "K_3", 404, 78),
+            ("random", "K_4", 290, 0),
+            ("random", "P_3", 1620, 1888),
+            ("random", "C_4", 962, 144),
+        ],
+    )
+    def test_node_counts_are_pinned(self, target, motif, nodes, found):
+        if target == "hub":
+            graph = _bench_graph("hub", 200, 0, 0)
+        else:
+            graph = random_degenerate_graph(200, 3, random.Random(7))
+        m = build_named(motif)
+        assert node_count(m, graph) == nodes
+        assert found_under(m, graph, nodes - 1) == found
+
+    @given(
+        st.sampled_from(sorted(SYMMETRIC_MOTIFS)),
+        st.sampled_from(sorted(SYMMETRIC_MOTIFS)),
+        hypergraphs(max_vertices=7, max_edges=6, max_edge_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_shared_index_searches_like_a_fresh_one(self, first, second, graph):
+        shared = fresh_copy(graph)
+        for name in (first, second):
+            motif = SYMMETRIC_MOTIFS[name]
+            nodes = node_count(motif, fresh_copy(graph))
+            assert motifs._representatives(
+                motif, shared, budget=nodes
+            ) == motifs._representatives(motif, fresh_copy(graph))
+            if nodes:
+                assert found_under(motif, shared, nodes - 1) == found_under(
+                    motif, fresh_copy(graph), nodes - 1
+                )
+
+    def test_a_candidate_that_fails_the_profile_is_no_node(self):
+        # The tailed triangle places its degree-3 corner c first, then a,
+        # which must have degree 2.  Into a triangle x, y, z with a pendant
+        # u on x, u closes the edge {c, a} but has degree 1.  Nodes: x; y,
+        # z and u for a, of which u fails; z for b; u for d.  Only y
+        # reaches a leaf, and the automorphism swapping a and b doubles it.
+        motif = Hypergraph("abcd", {"e1": "ab", "e2": "bc", "e3": "ca", "e4": "cd"})
+        target = Hypergraph("uxyz", {"f1": "xy", "f2": "xz", "f3": "xu", "f4": "yz"})
+        assert motifs._representatives(motif, target, budget=5) == [("y", "z", "x", "u")]
+        assert found_under(motif, target, 4) == 2
 
 
 class TestExpansion:
