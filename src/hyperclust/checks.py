@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
 from .components import (
+    INFINITE,
     _line_graph_over,
     component_member_unions,
     connected_components,
@@ -296,9 +297,6 @@ class Corpus:
         index = self._index.get(graph)
         return None if index is None else f"g{index}"
 
-    def simple_graphs(self):
-        return [g for g in self.graphs if g.is_simple()]
-
     def with_extra_graphs(self, extras):
         """A corpus extended by the given graphs (isomorphs are skipped).
 
@@ -385,29 +383,31 @@ class CheckReport:
 
     ``counterexamples`` is a tuple of JSON-ready dicts, each self-contained:
     replaying the failing instance needs nothing beyond the entry itself.
+    They are the verdict: a check passes exactly when it found none.
     ``bounds`` are the :class:`CorpusBounds` the corpus was built under, so
     a pass states how far it reaches.
     """
 
-    __slots__ = ("check", "schemes", "passed", "statistics", "counterexamples", "bounds")
+    __slots__ = ("check", "schemes", "statistics", "counterexamples", "bounds")
 
-    def __init__(self, check, schemes, passed, statistics, counterexamples, bounds):
+    def __init__(self, check, schemes, statistics, counterexamples, bounds):
         self.check = check
         self.schemes = tuple(schemes)
-        self.passed = bool(passed)
         self.statistics = dict(statistics)
         self.counterexamples = tuple(counterexamples)
         self.bounds = bounds
+
+    @property
+    def passed(self):
+        return not self.counterexamples
 
     def __repr__(self):
         verdict = "pass" if self.passed else "fail"
         return f"CheckReport({self.check}, {verdict})"
 
     def to_json(self, limit=None):
-        shown = list(self.counterexamples)
+        shown = list(self.counterexamples[:limit])
         statistics = dict(self.statistics)
-        if limit is not None and len(shown) > limit:
-            shown = shown[:limit]
         statistics["counterexamples_total"] = len(self.counterexamples)
         statistics["counterexamples_shown"] = len(shown)
         return {
@@ -422,14 +422,18 @@ class CheckReport:
 
 def _graph_ref(corpus, graph):
     ref = {"graph": hypergraph_to_json(graph)}
-    gid = corpus.graph_id(graph) if corpus is not None else None
+    gid = corpus.graph_id(graph)
     if gid is not None:
         ref["id"] = gid
     return ref
 
 
-def _part_list(part):
-    return sorted(part)
+def _sweep_report(check, schemes, corpus, bad, **statistics):
+    # The tail every corpus sweep shares: labelled schemes, the corpus size
+    # and the failure count next to the sweep's own statistics.
+    statistics["graphs"] = len(corpus.graphs)
+    statistics["failures"] = len(bad)
+    return CheckReport(check, map(scheme_label, schemes), statistics, bad, corpus.bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +455,7 @@ def check_excisive(scheme, corpus, cache=None):
                 entry = _graph_ref(corpus, graph)
                 entry["part"] = list(part)
                 bad.append(entry)
-    statistics = {
-        "graphs": len(corpus.graphs),
-        "parts_checked": parts_checked,
-        "failures": len(bad),
-    }
-    return CheckReport(
-        "excisive", [scheme_label(scheme)], not bad, statistics, bad, corpus.bounds
-    )
+    return _sweep_report("excisive", [scheme], corpus, bad, parts_checked=parts_checked)
 
 
 def check_functorial(scheme, corpus, cache=None):
@@ -481,13 +478,8 @@ def check_functorial(scheme, corpus, cache=None):
                     "part": list(part),
                 }
                 bad.append(entry)
-    statistics = {
-        "graphs": len(corpus.graphs),
-        "morphisms": len(corpus.morphisms),
-        "failures": len(bad),
-    }
-    return CheckReport(
-        "functorial", [scheme_label(scheme)], not bad, statistics, bad, corpus.bounds
+    return _sweep_report(
+        "functorial", [scheme], corpus, bad, morphisms=len(corpus.morphisms)
     )
 
 
@@ -501,17 +493,9 @@ def check_refines(finer_scheme, coarser_scheme, corpus, cache=None):
         ok, offender = is_refinement(fine, coarse)
         if not ok:
             entry = _graph_ref(corpus, graph)
-            entry["part"] = _part_list(offender)
+            entry["part"] = sorted(offender)
             bad.append(entry)
-    statistics = {"graphs": len(corpus.graphs), "failures": len(bad)}
-    return CheckReport(
-        "refines",
-        [scheme_label(finer_scheme), scheme_label(coarser_scheme)],
-        not bad,
-        statistics,
-        bad,
-        corpus.bounds,
-    )
+    return _sweep_report("refines", [finer_scheme, coarser_scheme], corpus, bad)
 
 
 def check_scheme_equal(first_scheme, second_scheme, corpus, cache=None):
@@ -523,70 +507,66 @@ def check_scheme_equal(first_scheme, second_scheme, corpus, cache=None):
         second = cache.parts(second_scheme, graph).parts
         if first != second:
             entry = _graph_ref(corpus, graph)
-            entry["first_only"] = sorted(
-                (_part_list(p) for p in first - second)
-            )
-            entry["second_only"] = sorted(
-                (_part_list(p) for p in second - first)
-            )
+            entry["first_only"] = sorted(map(sorted, first - second))
+            entry["second_only"] = sorted(map(sorted, second - first))
             bad.append(entry)
-    statistics = {"graphs": len(corpus.graphs), "failures": len(bad)}
-    return CheckReport(
-        "equal",
-        [scheme_label(first_scheme), scheme_label(second_scheme)],
-        not bad,
-        statistics,
-        bad,
-        corpus.bounds,
-    )
+    return _sweep_report("equal", [first_scheme, second_scheme], corpus, bad)
 
 
 # ---------------------------------------------------------------------------
 # representation hulls
 
-def hull_check(motifs, graph, corpus, cache=None):
-    """Adjoining a graph to a motif set is a no-op exactly when its
-    expansion is spanned.
-
-    Both sides are computed and reported: whether the expansion of ``graph``
-    has a spanning edge, and whether the two expansions agree on every
-    corpus member (the graph itself included).  The check passes when the
-    two sides agree, as the hull property predicts.
-    """
+def _hull_sides(motifs, graph, k, corpus, cache):
+    """Both sides of the hull test for adjoining ``graph`` to ``motifs`` at
+    threshold ``k``: the :func:`check_scheme_equal` differences over the
+    corpus plus ``graph``, the graph's expansion edge sets, whether they
+    have the whole vertex set as a part, and the statistics on the sweep."""
     motifs = tuple(motifs)
-    extended = motifs + (graph,)
-    cache = cache or ClusterCache()
-    sets = cache.expansion_sets(motifs, graph)
-    spanned = frozenset(graph.vertices) in sets
     members = corpus.with_extra_graphs([graph])
-    differences = []
-    for member in members.graphs:
-        base = cache.expansion_sets(motifs, member)
-        more = cache.expansion_sets(extended, member)
-        if base != more:
-            entry = _graph_ref(members, member)
-            entry["gained_edge_sets"] = sorted(set_name(s) for s in more - base)
-            differences.append(entry)
-    equal = not differences
-    passed = spanned == equal
+    differences = check_scheme_equal(
+        MotifScheme(motifs, k), MotifScheme(motifs + (graph,), k), members, cache
+    ).counterexamples
+    sets = cache.expansion_sets(motifs, graph)
+    spanned = has_full_part(graph.vertices, component_member_unions(sets, k))
     statistics = {
-        "spanned": spanned,
-        "edge_sets_equal": equal,
         "graphs_checked": len(members.graphs),
         "differing_graphs": len(differences),
     }
     if differences:
         statistics["difference_witness"] = differences[0]
+    return differences, sets, spanned, statistics
+
+
+def hull_check(motifs, graph, corpus, cache=None):
+    """Adjoining a graph to a motif set is a no-op exactly when its
+    expansion is spanned.
+
+    It runs the sweep of :func:`connected_hull_check` at threshold infinity,
+    where every distinct expansion edge set is a part of its own: two
+    expansions agree exactly when the two schemes do, and the graph's
+    expansion is spanned exactly when some part is its whole vertex set.
+    Both sides are reported, and the check passes when they agree, as the
+    hull property predicts.  A difference lists the edge sets the graph
+    adds.
+    """
+    differences, _, spanned, statistics = _hull_sides(
+        motifs, graph, INFINITE, corpus, cache or ClusterCache()
+    )
+    # Adjoining a motif only adds embeddings, so no edge set is ever lost
+    # and every first_only is empty.  The entries are rewritten in place,
+    # the difference witness among them.
+    for entry in differences:
+        del entry["first_only"]
+        entry["gained_edge_sets"] = sorted(map(set_name, entry.pop("second_only")))
+    equal = not differences
+    statistics.update(spanned=spanned, edge_sets_equal=equal)
     counterexamples = []
-    if not passed:
+    if spanned != equal:
+        witness = differences[0] if differences else None
         counterexamples.append(
-            {
-                "spanned": spanned,
-                "edge_sets_equal": equal,
-                "witness": differences[0] if differences else None,
-            }
+            {"spanned": spanned, "edge_sets_equal": equal, "witness": witness}
         )
-    return CheckReport("hull", [], passed, statistics, counterexamples, corpus.bounds)
+    return CheckReport("hull", [], statistics, counterexamples, corpus.bounds)
 
 
 def connected_hull_check(motifs, graph, min_overlap, corpus, cache=None):
@@ -596,33 +576,21 @@ def connected_hull_check(motifs, graph, min_overlap, corpus, cache=None):
     The reverse implication is asserted only at threshold 1; for larger
     thresholds it is merely reported, since it is known to fail there.
     """
-    motifs = tuple(motifs)
-    cache = cache or ClusterCache()
-    base_scheme = MotifScheme(motifs, min_overlap)
-    extended_scheme = MotifScheme(motifs + (graph,), min_overlap)
-    members = corpus.with_extra_graphs([graph])
-    differences = check_scheme_equal(
-        base_scheme, extended_scheme, members, cache
-    ).counterexamples
+    differences, sets, connected, statistics = _hull_sides(
+        motifs, graph, min_overlap, corpus, cache or ClusterCache()
+    )
     equal = not differences
-    sets = cache.expansion_sets(motifs, graph)
-    connected = has_full_part(graph.vertices, component_member_unions(sets, min_overlap))
     forward_ok = (not equal) or connected
     reverse_holds = (not connected) or equal
     reverse_asserted = min_overlap == 1
-    passed = forward_ok and (reverse_holds or not reverse_asserted)
-    statistics = {
-        "k": threshold_to_json(min_overlap),
-        "schemes_equal": equal,
-        "expansion_connected": connected,
-        "forward_ok": forward_ok,
-        "reverse_holds": reverse_holds,
-        "reverse_asserted": reverse_asserted,
-        "graphs_checked": len(members.graphs),
-        "differing_graphs": len(differences),
-    }
-    if differences:
-        statistics["difference_witness"] = differences[0]
+    statistics.update(
+        k=threshold_to_json(min_overlap),
+        schemes_equal=equal,
+        expansion_connected=connected,
+        forward_ok=forward_ok,
+        reverse_holds=reverse_holds,
+        reverse_asserted=reverse_asserted,
+    )
     counterexamples = []
     if not forward_ok:
         counterexamples.append(
@@ -641,7 +609,7 @@ def connected_hull_check(motifs, graph, min_overlap, corpus, cache=None):
             }
         )
     return CheckReport(
-        "connected-hull", [], passed, statistics, counterexamples, corpus.bounds
+        "connected-hull", [], statistics, counterexamples, corpus.bounds
     )
 
 

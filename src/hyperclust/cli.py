@@ -104,6 +104,18 @@ def parse_motif_list(text):
     return tuple(_parse_motif_token(t) for t in tokens)
 
 
+def _concrete_motifs(text, command):
+    """A motif list for ``command`` that names only hypergraphs."""
+    motifs = parse_motif_list(text)
+    for m in motifs:
+        if not isinstance(m, Hypergraph):
+            raise ValueError(
+                f"{command} needs concrete motifs; family marker {m!r} only "
+                f"makes sense inside a representable scheme"
+            )
+    return motifs
+
+
 def parse_scheme_spec(text):
     """Scheme specs: ``classic``, ``toy:<id>``, ``sigma[:MOTIF]``,
     ``representable:{M1,M2},k=K``, or ``@file.json``."""
@@ -157,16 +169,8 @@ def run_cluster(args):
 
 def run_phi(args):
     graph = parse_graph_arg(args.graph)
-    motifs = parse_motif_list(args.motifs)
-    concrete = []
-    for m in motifs:
-        if not isinstance(m, Hypergraph):
-            raise ValueError(
-                f"phi needs concrete motifs; family marker {m!r} only makes "
-                f"sense inside a representable scheme"
-            )
-        concrete.append(m)
-    expansion = motif_expansion(concrete, graph, budget=args.budget)
+    motifs = _concrete_motifs(args.motifs, "phi")
+    expansion = motif_expansion(motifs, graph, budget=args.budget)
     _emit_json(hypergraph_to_json(expansion), args.out)
     return 0
 
@@ -244,10 +248,7 @@ def run_check(args):
     if prop in ("hull", "connected-hull"):
         if not args.motifs or not args.graph:
             raise ValueError(f"{prop} needs --motifs and --graph")
-        motifs = parse_motif_list(args.motifs)
-        for m in motifs:
-            if not isinstance(m, Hypergraph):
-                raise ValueError("hull checks need concrete motifs")
+        motifs = _concrete_motifs(args.motifs, prop)
         graph = parse_graph_arg(args.graph)
         if prop == "connected-hull" or args.k is not None:
             if args.k is None:
@@ -281,11 +282,7 @@ def run_check(args):
 
 
 def run_witness(args):
-    motifs = parse_motif_list(args.motifs)
-    concrete = [m for m in motifs if isinstance(m, Hypergraph)]
-    if len(concrete) != len(motifs):
-        raise ValueError("witness needs concrete motifs")
-    result = finite_rep_witness(concrete)
+    result = finite_rep_witness(_concrete_motifs(args.motifs, "witness"))
     _emit_json(result.to_json(), args.out)
     return 0 if result.ok else 1
 

@@ -87,10 +87,6 @@ class Hypergraph:
         g._index = None
         return g
 
-    @property
-    def vertex_set(self):
-        return frozenset(self.vertices)
-
     def edge_sets(self):
         """The distinct edge vertex sets (parallel edges collapse).
 

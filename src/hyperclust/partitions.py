@@ -29,7 +29,7 @@ def _as_element(x):
 class PartitionedSet:
     """Immutable underlying set plus a set of parts, each part a subset."""
 
-    __slots__ = ("elements", "parts", "_hash")
+    __slots__ = ("elements", "parts")
 
     def __init__(self, elements, parts=()):
         elems = tuple(sorted({_as_element(x) for x in elements}, key=_element_key))
@@ -44,7 +44,6 @@ class PartitionedSet:
             cooked.add(p)
         self.elements = elems
         self.parts = frozenset(cooked)
-        self._hash = hash((elems, self.parts))
 
     @classmethod
     def _make(cls, elements, parts):
@@ -55,7 +54,6 @@ class PartitionedSet:
         p = cls.__new__(cls)
         p.elements = elements
         p.parts = parts
-        p._hash = hash((elements, parts))
         return p
 
     def sorted_parts(self):
@@ -70,7 +68,7 @@ class PartitionedSet:
         return self.elements == other.elements and self.parts == other.parts
 
     def __hash__(self):
-        return self._hash
+        return hash((self.elements, self.parts))
 
     def __repr__(self):
         return f"PartitionedSet({len(self.elements)} elements, {len(self.parts)} parts)"

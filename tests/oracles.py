@@ -8,19 +8,23 @@ JSON round trips, the morphism validity sweep) serve only the tests, so
 they live here rather than in the package.
 """
 
+import dataclasses
 import functools
 import itertools
 import re
 
 import networkx as nx
 
+from hyperclust.components import set_name
 from hyperclust.graphs import (
     _PERM_CAP,
     GraphMorphism,
     Hypergraph,
     SizeLimitError,
+    hypergraph_to_json,
     validate_graph_morphism,
 )
+from hyperclust.motifs import expansion_edge_sets
 
 
 def to_nx(graph):
@@ -228,6 +232,54 @@ def reference_key(graph):
     and the edges are encoded as sorted position tuples.  Its values differ
     from ``canonical_key``'s, but the two must split graphs alike."""
     return _canonical_form(graph)[0]
+
+
+def reference_hull(motifs, graph, corpus, expand=expansion_edge_sets):
+    """``hull_check(motifs, graph, corpus).to_json()``, from expansion edge
+    sets alone: ``graph`` is spanned when its vertex set is an edge set of
+    its own expansion, and every member of the corpus plus ``graph`` is
+    expanded along ``motifs`` with and without ``graph``.  The hull check
+    passes when the graph is spanned exactly when no expansion changes."""
+    motifs = tuple(motifs)
+    extended = motifs + (graph,)
+    spanned = frozenset(graph.vertices) in expand(motifs, graph)
+    members = corpus.with_extra_graphs([graph])
+    differences = []
+    for member in members.graphs:
+        base = expand(motifs, member)
+        more = expand(extended, member)
+        if base != more:
+            differences.append({
+                "graph": hypergraph_to_json(member),
+                "id": members.graph_id(member),
+                "gained_edge_sets": sorted(set_name(s) for s in more - base),
+            })
+    equal = not differences
+    statistics = {
+        "spanned": spanned,
+        "edge_sets_equal": equal,
+        "graphs_checked": len(members.graphs),
+        "differing_graphs": len(differences),
+    }
+    if differences:
+        statistics["difference_witness"] = differences[0]
+    counterexamples = []
+    if spanned != equal:
+        counterexamples.append({
+            "spanned": spanned,
+            "edge_sets_equal": equal,
+            "witness": differences[0] if differences else None,
+        })
+    statistics["counterexamples_total"] = len(counterexamples)
+    statistics["counterexamples_shown"] = len(counterexamples)
+    return {
+        "check": "hull",
+        "schemes": [],
+        "verdict": "fail" if counterexamples else "pass",
+        "statistics": statistics,
+        "counterexamples": counterexamples,
+        "bounds": dataclasses.asdict(corpus.bounds),
+    }
 
 
 # ---------------------------------------------------------------------------

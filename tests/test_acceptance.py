@@ -130,7 +130,7 @@ def test_03_threshold_one_collapse(corpus):
         classic = ComponentScheme()
         for graph in corpus.graphs:
             assert is_non_overlapping(overlap_components(graph, 1))
-        for graph in corpus.simple_graphs():
+        for graph in filter(Hypergraph.is_simple, corpus.graphs):
             assert overlap_components(graph, 1) == cluster(classic, graph)
 
 

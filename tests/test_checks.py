@@ -29,6 +29,7 @@ from hyperclust.graphs import (
     GraphMorphism,
     Hypergraph,
     SizeLimitError,
+    build_named,
     complete_graph,
     disjoint_union,
     fused_triples,
@@ -40,6 +41,7 @@ from hyperclust.graphs import (
     simplex,
     triangle_with_tail,
 )
+from hyperclust.motifs import expansion_edge_sets
 from hyperclust.partitions import PartitionedSet
 from hyperclust.schemes import (
     ComponentScheme,
@@ -126,7 +128,7 @@ class TestCorpusGeneration:
         assert small_corpus.graph_id(complete_graph(6)) is None
 
     def test_atlas_members_extend_the_hyper_pool(self, small_corpus):
-        sizes = {len(g.vertices) for g in small_corpus.simple_graphs()}
+        sizes = {len(g.vertices) for g in small_corpus.graphs if g.is_simple()}
         assert small_corpus.bounds.max_simple_vertices == 4
         assert 4 in sizes
 
@@ -286,8 +288,10 @@ class TestFastPathsOnTheDefaultCorpus:
         ComponentScheme(),
     ], ids=["E*-k2", "E*-k1", "K3-k2", "sigma", "classic"])
     def test_cluster_equals_the_constructor(self, corpus, scheme):
-        simple_only = isinstance(scheme, ComponentScheme)
-        for graph in corpus.simple_graphs() if simple_only else corpus.graphs:
+        graphs = corpus.graphs
+        if isinstance(scheme, ComponentScheme):
+            graphs = [g for g in graphs if g.is_simple()]
+        for graph in graphs:
             parts = cluster(scheme, graph)
             again = PartitionedSet(graph.vertices, parts.parts)
             assert (parts.elements, parts.parts, hash(parts)) == (
@@ -435,6 +439,103 @@ class TestHullChecks:
             MotifScheme((simplex(3), fused_triples()), 2), diff
         ).parts
         assert first != second
+
+
+HULL_MOTIFS = {
+    "none": (),
+    "K_2": (complete_graph(2),),
+    "E_3": (simplex(3),),
+    "K_3": (complete_graph(3),),
+    "P_3": (path(3),),
+    "K_2+E_3": (complete_graph(2), simplex(3)),
+    "E_2+K_3": (simplex(2), complete_graph(3)),
+}
+HULL_GRAPHS = ("P_3", "K_2", "E_1", "E_3", "G_4", "R_1", "C_4", "K_3", "corner")
+
+
+def break_extended_expansion(monkeypatch, motifs, graph, change):
+    """Route the expansion along ``motifs + (graph,)`` through
+    ``change(member)``; every other expansion is left as it is."""
+    real = checks.expansion_edge_sets
+    extended = tuple(motifs) + (graph,)
+
+    def expand(motif_tuple, member):
+        if motif_tuple == extended:
+            return change(member)
+        return real(motif_tuple, member)
+
+    monkeypatch.setattr(checks, "expansion_edge_sets", expand)
+    return expand
+
+
+def gains_on_edgeless_members(motifs, graph):
+    """A ``change`` under which the extended expansion also covers every
+    edgeless member with one edge set, although a spanned graph adds none."""
+    extended = tuple(motifs) + (graph,)
+
+    def change(member):
+        sets = expansion_edge_sets(extended, member)
+        if member.vertices and not member.edges:
+            sets |= {frozenset(member.vertices)}
+        return sets
+
+    return change
+
+
+def gains_nothing(motifs, graph):
+    """A ``change`` under which adjoining ``graph`` never adds an edge set,
+    although an unspanned graph always adds its own vertex set."""
+    return lambda member: expansion_edge_sets(tuple(motifs), member)
+
+
+class TestHullAgainstTheReference:
+    @pytest.mark.parametrize("graph", HULL_GRAPHS)
+    @pytest.mark.parametrize("motifs", HULL_MOTIFS.values(), ids=list(HULL_MOTIFS))
+    def test_report_matches_the_expansion_sweep(self, small_corpus, motifs, graph):
+        graph = build_named(graph)
+        report = hull_check(motifs, graph, small_corpus)
+        assert report.to_json() == oracles.reference_hull(motifs, graph, small_corpus)
+
+    @pytest.mark.parametrize(
+        "motifs, graph, change, spanned",
+        [
+            ((simplex(3),), simplex(3), gains_on_edgeless_members, True),
+            ((complete_graph(2),), path(3), gains_nothing, False),
+        ],
+        ids=["spanned-but-gains", "unspanned-but-equal"],
+    )
+    def test_a_failing_hull_reports_its_witness(
+        self, small_corpus, monkeypatch, motifs, graph, change, spanned
+    ):
+        expand = break_extended_expansion(
+            monkeypatch, motifs, graph, change(motifs, graph)
+        )
+        report = hull_check(motifs, graph, small_corpus)
+        assert not report.passed
+        data = report.to_json()
+        assert data == oracles.reference_hull(motifs, graph, small_corpus, expand)
+        stats = data["statistics"]
+        assert stats["spanned"] is spanned
+        assert stats["edge_sets_equal"] is not spanned
+        assert data["counterexamples"] == [{
+            "spanned": spanned,
+            "edge_sets_equal": not spanned,
+            "witness": stats.get("difference_witness"),
+        }]
+        if spanned:
+            # the edgeless members on 1 to 4 vertices each gain their
+            # vertex set, and the first of them is the witness
+            assert stats["differing_graphs"] == 4
+            witness = stats["difference_witness"]
+            member = small_corpus.graphs[int(witness["id"][1:])]
+            assert witness == {
+                "graph": hypergraph_to_json(member),
+                "id": small_corpus.graph_id(member),
+                "gained_edge_sets": ["{v1}"],
+            }
+        else:
+            assert stats["differing_graphs"] == 0
+            assert "difference_witness" not in stats
 
 
 class TestFiniteRepWitness:

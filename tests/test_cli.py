@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -33,6 +34,9 @@ from hyperclust.schemes import (
     scheme_to_json,
 )
 
+from test_checks import break_extended_expansion, gains_nothing, gains_on_edgeless_members
+
+
 SMALL = [
     "--max-vertices", "3",
     "--max-edges", "2",
@@ -52,6 +56,52 @@ TWO_SCHEMES = [
     "--scheme2", "representable:{E*},k=2",
 ]
 E_STAR_2 = ["--scheme", "representable:{E*},k=2"]
+
+ONE_SCHEME_SPECS = (
+    "representable:{E*},k=2",
+    "sigma",
+    "toy:noprops",
+    "toy:component_rule",
+    "toy:always_one_part_except_K2",
+)
+TWO_SCHEME_SPECS = (
+    "representable:{E*},k=1",
+    "representable:{E*},k=2",
+    "toy:component_rule",
+)
+E3_ON_E3 = ["--motifs", "{E_3}", "--graph", "E_3"]
+K2_ON_P3 = ["--motifs", "{K_2}", "--graph", "P_3"]
+# A broken expansion under which a hull check fails: (motifs, graph, change).
+GAINS = ((simplex(3),), simplex(3), gains_on_edgeless_members)
+LOSES = ((complete_graph(2),), path(3), gains_nothing)
+# Each property's runs as (argv, broken expansion or None); each property
+# has passing and failing runs.
+VERDICT_RUNS = {
+    "excisive": [(["--scheme", s], None) for s in ONE_SCHEME_SPECS],
+    "functorial": [(["--scheme", s], None) for s in ONE_SCHEME_SPECS],
+    "refines": [
+        (["--scheme", a, "--scheme2", b], None)
+        for a, b in itertools.product(TWO_SCHEME_SPECS, repeat=2)
+    ],
+    "equal": [
+        (["--scheme", a, "--scheme2", b], None)
+        for a, b in itertools.product(TWO_SCHEME_SPECS, repeat=2)
+    ],
+    "hull": [
+        (E3_ON_E3, None),
+        (K2_ON_P3, None),
+        (E3_ON_E3, GAINS),
+        (K2_ON_P3, LOSES),
+    ],
+    "connected-hull": [
+        ([*argv, "--k", k], None)
+        for argv in (E3_ON_E3, K2_ON_P3)
+        for k in ("1", "2", "inf")
+    ] + [
+        ([*E3_ON_E3, "--k", "1"], GAINS),
+        ([*K2_ON_P3, "--k", "2"], LOSES),
+    ],
+}
 
 
 @pytest.fixture(autouse=True)
@@ -457,6 +507,22 @@ class TestCheck:
         # P_7 has more than --max-morphism-vertices vertices, so it brings
         # exactly the inclusions of its 2**7 restrictions
         assert after["morphisms"] == before["morphisms"] + 2**7
+
+    @pytest.mark.parametrize("prop", VERDICT_RUNS)
+    def test_exit_code_verdict_and_counterexamples_agree(self, capsys, monkeypatch, prop):
+        codes = set()
+        for argv, broken in VERDICT_RUNS[prop]:
+            with monkeypatch.context() as patch:
+                if broken:
+                    motifs, graph, change = broken
+                    break_extended_expansion(patch, motifs, graph, change(motifs, graph))
+                code, out, _ = run_cli(capsys, "check", prop, *argv, *SMALL)
+            data = json.loads(out)
+            total = data["statistics"]["counterexamples_total"]
+            assert code in (0, 1), argv
+            assert (code == 0) == (data["verdict"] == "pass") == (total == 0), argv
+            codes.add(code)
+        assert codes == {0, 1}
 
     def test_hull_check_via_cli(self, capsys):
         code, out, _ = run_cli(
