@@ -47,18 +47,24 @@ from .schemes import MotifScheme, cluster, scheme_label
 
 _CACHE_VERSION = 2
 DEFAULT_GUARD = 2_000_000
+_ATLAS = pathlib.Path(__file__).parent / "atlas.g6"
+_ATLAS_MAX_VERTICES = 7
 
 
-def _bound(default, minimum):
-    # A bounds field; values below ``minimum`` describe no meaningful corpus.
-    return field(default=default, metadata={"minimum": minimum})
+def _bound(default, minimum, maximum=None):
+    # A bounds field; values outside [minimum, maximum] describe no
+    # meaningful corpus (no maximum when it is None).
+    return field(default=default, metadata={"minimum": minimum, "maximum": maximum})
 
 
-def _refuse_low_bounds(bounds):
+def _refuse_out_of_range_bounds(bounds):
     for f in fields(bounds):
-        value, low = getattr(bounds, f.name), f.metadata["minimum"]
+        value = getattr(bounds, f.name)
+        low, high = f.metadata["minimum"], f.metadata["maximum"]
         if value < low:
             raise ValueError(f"{f.name} must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise ValueError(f"{f.name} must be at most {high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -72,17 +78,18 @@ class CorpusBounds:
     between members are enumerated exhaustively only when both endpoints
     have at most ``max_morphism_vertices`` vertices.  Edge sizes start at 1,
     every other bound at 0 (``max_simple_vertices=0`` adds no simple
-    graphs); lower values raise ``ValueError``.
+    graphs); lower values raise ``ValueError``, as does a
+    ``max_simple_vertices`` above 7, the largest graphs in the atlas.
     """
 
     max_vertices: int = _bound(5, 0)
     max_edges: int = _bound(4, 0)
     max_edge_size: int = _bound(4, 1)
     max_morphism_vertices: int = _bound(4, 0)
-    max_simple_vertices: int = _bound(6, 0)
+    max_simple_vertices: int = _bound(6, 0, _ATLAS_MAX_VERTICES)
 
     def __post_init__(self):
-        _refuse_low_bounds(self)
+        _refuse_out_of_range_bounds(self)
 
 
 def _multiset_count(universe, size):
@@ -141,31 +148,41 @@ def _enumerate_hypergraph_classes(bounds):
     return out
 
 
+def _graph6_edges(line):
+    # One graph6 line (McKay's format, for graphs on at most 62 vertices):
+    # the vertex count plus 63 as one byte, then the upper triangle of the
+    # adjacency matrix column by column, six bits per byte plus 63.
+    n = ord(line[0]) - 63
+    bits = "".join(f"{ord(c) - 63:06b}" for c in line[1:])
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return n, [pair for pair, bit in zip(pairs, bits) if bit == "1"]
+
+
 def _atlas_extras(bounds):
     """Simple graphs beyond the hypergraph enumeration, from the atlas of
-    graphs on up to seven vertices."""
+    graphs on up to seven vertices (Read & Wilson, *An Atlas of Graphs*,
+    1998).
+
+    ``atlas.g6`` holds the atlas's 1,253 graphs in atlas order, one graph6
+    line each, over each graph's vertices in sorted order.  The graphs that
+    the hypergraph enumeration already covers are skipped.
+    """
     if bounds.max_simple_vertices <= 0:
         return []
-    from networkx.generators.atlas import graph_atlas_g
-
     out = []
-    for atlas_graph in graph_atlas_g():
-        n = atlas_graph.number_of_nodes()
+    for line in _ATLAS.read_text(encoding="ascii").split():
+        n, pairs = _graph6_edges(line)
         if n > bounds.max_simple_vertices:
             break
-        m = atlas_graph.number_of_edges()
         if (
             n <= bounds.max_vertices
-            and m <= bounds.max_edges
+            and len(pairs) <= bounds.max_edges
             and bounds.max_edge_size >= 2
         ):
             continue
         names = _vertex_names(n)
-        rename = {node: names[i] for i, node in enumerate(sorted(atlas_graph.nodes))}
-        pairs = sorted(
-            tuple(sorted((rename[a], rename[b]))) for a, b in atlas_graph.edges
-        )
-        edges = {f"e{i + 1}": pair for i, pair in enumerate(pairs)}
+        named = sorted((names[a], names[b]) for a, b in pairs)
+        edges = {f"e{i + 1}": pair for i, pair in enumerate(named)}
         out.append(Hypergraph(names, edges))
     return out
 
@@ -725,7 +742,7 @@ class SearchBounds:
     max_edge_size: int = _bound(3, 1)
 
     def __post_init__(self):
-        _refuse_low_bounds(self)
+        _refuse_out_of_range_bounds(self)
 
 
 class EqualPartsResult:

@@ -250,6 +250,8 @@ def run_check(args):
             raise ValueError(f"{prop} needs --motifs and --graph")
         motifs = _concrete_motifs(args.motifs, prop)
         graph = parse_graph_arg(args.graph)
+        if not graph.vertices:
+            raise ValueError(f"{prop} needs a --graph with at least one vertex")
         if prop == "connected-hull" or args.k is not None:
             if args.k is None:
                 raise ValueError("connected-hull needs --k")
@@ -375,13 +377,16 @@ def fit_count_slope(rows):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _at_least(low):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_range(low, high=None):
+    """An argparse type: an integer no smaller than ``low`` and, unless
+    ``high`` is None, no larger than ``high``."""
 
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     # argparse names the type in its "invalid int value" message.
@@ -392,7 +397,7 @@ def _at_least(low):
 def _size_list(text):
     """An argparse type: a nonempty comma-separated list of integers of at
     least 1; empty entries are skipped."""
-    size = _at_least(1)
+    size = _int_range(1)
     sizes = []
     for token in filter(str.strip, text.split(",")):
         try:
@@ -410,7 +415,7 @@ def _add_bounds_flags(parser, bounds_class):
     for f in dataclasses.fields(bounds_class):
         parser.add_argument(
             "--" + f.name.replace("_", "-"),
-            type=_at_least(f.metadata["minimum"]),
+            type=_int_range(f.metadata["minimum"], f.metadata["maximum"]),
             default=f.default,
         )
 
@@ -433,7 +438,7 @@ def build_parser():
     p = sub.add_parser("phi", help="expand a graph along motifs")
     p.add_argument("graph")
     p.add_argument("--motifs", required=True)
-    p.add_argument("--budget", type=_at_least(0), default=None)
+    p.add_argument("--budget", type=_int_range(0), default=None)
     p.add_argument("--out")
     p.set_defaults(handler=run_phi)
 
@@ -459,7 +464,7 @@ def build_parser():
         "every check, and functorial checks its 2^n restriction inclusions, "
         "so keep extras small",
     )
-    p.add_argument("--limit", type=_at_least(0), default=25)
+    p.add_argument("--limit", type=_int_range(0), default=25)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")
     _add_bounds_flags(p, CorpusBounds)
@@ -477,7 +482,7 @@ def build_parser():
     )
     _add_bounds_flags(p, SearchBounds)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_at_least(0), default=2000)
+    p.add_argument("--trials", type=_int_range(0), default=2000)
     p.add_argument("--out")
     p.set_defaults(handler=run_search)
 
@@ -486,12 +491,12 @@ def build_parser():
     p.add_argument(
         "--family", choices=("random", "grid", "path", "hub"), default="random"
     )
-    p.add_argument("--cap", type=_at_least(0), default=2, help="degeneracy cap")
+    p.add_argument("--cap", type=_int_range(0), default=2, help="degeneracy cap")
     p.add_argument(
         "--sizes", type=_size_list, required=True, help="comma-separated n values"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=_at_least(1), default=1)
+    p.add_argument("--repeat", type=_int_range(1), default=1)
     p.add_argument("--out")
     p.set_defaults(handler=run_bench)
 

@@ -282,6 +282,33 @@ def reference_hull(motifs, graph, corpus, expand=expansion_edge_sets):
     }
 
 
+def reference_atlas_extras(bounds):
+    """``checks._atlas_extras(bounds)`` read from networkx's graph atlas, as
+    the package read it before the atlas became a table of its own."""
+    if bounds.max_simple_vertices <= 0:
+        return []
+    out = []
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if n > bounds.max_simple_vertices:
+            break
+        m = atlas_graph.number_of_edges()
+        if (
+            n <= bounds.max_vertices
+            and m <= bounds.max_edges
+            and bounds.max_edge_size >= 2
+        ):
+            continue
+        names = [f"v{i}" for i in range(1, n + 1)]
+        rename = {node: names[i] for i, node in enumerate(sorted(atlas_graph.nodes))}
+        pairs = sorted(
+            tuple(sorted((rename[a], rename[b]))) for a, b in atlas_graph.edges
+        )
+        edges = {f"e{i + 1}": pair for i, pair in enumerate(pairs)}
+        out.append(Hypergraph(names, edges))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # test-only helpers: relabelling, edge-id parsing, morphism round trips and
 # corpus self-checks

@@ -2,8 +2,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from hyperclust import checks
@@ -114,6 +118,11 @@ class TestCorpusGeneration:
         with pytest.raises(ValueError, match="must be at least"):
             make()
 
+    def test_simple_vertices_beyond_the_atlas_are_refused(self):
+        with pytest.raises(ValueError, match="max_simple_vertices must be at most 7, got 8"):
+            CorpusBounds(max_simple_vertices=8)
+        assert CorpusBounds(max_simple_vertices=7).max_simple_vertices == 7
+
     def test_guard_refuses_oversized_bounds(self):
         big = CorpusBounds(max_vertices=8, max_edges=8, max_edge_size=8)
         with pytest.raises(SizeLimitError):
@@ -221,6 +230,92 @@ class TestCorpusGeneration:
         monkeypatch.setattr(os, "replace", fail)
         assert len(generate_corpus(TINY).graphs) == 6
         assert list(tmp_path.iterdir()) == []
+
+
+# Run by the no-networkx test below in a fresh interpreter: a cold corpus
+# with simple-graph extras, then a cold CLI check, with networkx importable
+# or not as argv[1] says.
+NO_NETWORKX_RUN = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["networkx"] = None
+    try:
+        import networkx
+    except ImportError:
+        pass
+    else:
+        sys.exit("networkx is still importable")
+from hyperclust.checks import CorpusBounds, generate_corpus
+from hyperclust.cli import main
+from hyperclust.graphs import hypergraph_to_json
+corpus = generate_corpus(CorpusBounds(2, 2, 2, 2, 5))
+print(json.dumps([hypergraph_to_json(g) for g in corpus.graphs], sort_keys=True))
+sys.exit(main(["check", "excisive", "--scheme", "representable:{K_3},k=2",
+               "--no-cache", "--max-vertices", "3", "--max-simple-vertices", "6"]))
+"""
+
+
+class TestAtlasTable:
+    def test_every_line_is_the_networkx_atlas_graph(self):
+        lines = checks._ATLAS.read_text().split()
+        atlas = nx.graph_atlas_g()
+        assert len(lines) == len(atlas) == 1253
+        for line, atlas_graph in zip(lines, atlas):
+            position = {node: i for i, node in enumerate(sorted(atlas_graph.nodes))}
+            n, pairs = checks._graph6_edges(line)
+            assert n == atlas_graph.number_of_nodes()
+            assert len(pairs) == atlas_graph.number_of_edges()
+            assert set(pairs) == {
+                tuple(sorted((position[a], position[b]))) for a, b in atlas_graph.edges
+            }
+
+    def test_largest_graphs_meet_the_simple_vertex_maximum(self):
+        sizes = [checks._graph6_edges(line)[0] for line in checks._ATLAS.read_text().split()]
+        assert max(sizes) == checks._ATLAS_MAX_VERTICES == 7
+        (field,) = [
+            f for f in dataclasses.fields(CorpusBounds) if f.name == "max_simple_vertices"
+        ]
+        assert field.metadata["maximum"] == checks._ATLAS_MAX_VERTICES
+
+    @pytest.mark.parametrize("bounds", [
+        CorpusBounds(),
+        CorpusBounds(max_simple_vertices=7),
+        CorpusBounds(3, 3, 3, 3, 4),
+        CorpusBounds(0, 0, 1, 0, 7),
+        CorpusBounds(7, 0, 2, 0, 7),
+        CorpusBounds(2, 1, 1, 2, 0),
+    ], ids=repr)
+    def test_extras_match_the_networkx_reference(self, bounds):
+        def layout(graphs):
+            return [(g.vertices, list(g.edges.items())) for g in graphs]
+
+        assert layout(checks._atlas_extras(bounds)) == layout(
+            oracles.reference_atlas_extras(bounds)
+        )
+
+    def test_runs_alike_with_networkx_unimportable(self, tmp_path):
+        src = str(pathlib.Path(checks.__file__).parents[1])
+        runs = {}
+        for mode in ("blocked", "importable"):
+            env = dict(
+                os.environ,
+                HYPERCLUST_CACHE_DIR=str(tmp_path / mode),
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            runs[mode] = subprocess.run(
+                [sys.executable, "-c", NO_NETWORKX_RUN, mode],
+                capture_output=True, text=True, env=env,
+            )
+        blocked, importable = runs["blocked"], runs["importable"]
+        assert (blocked.returncode, blocked.stderr) == (0, "")
+        assert (blocked.returncode, blocked.stdout) == (
+            importable.returncode, importable.stdout
+        )
+        graphs = json.loads(blocked.stdout.splitlines()[0])
+        assert max(len(g["vertices"]) for g in graphs) == 5
+        (blocked_cache,) = (tmp_path / "blocked").iterdir()
+        (importable_cache,) = (tmp_path / "importable").iterdir()
+        assert blocked_cache.read_bytes() == importable_cache.read_bytes()
 
 
 class TestCorpusExtension:
@@ -602,3 +697,14 @@ class TestEqualPartsSearch:
         assert result.outcome == "exhausted"
         assert not result.exhaustive
         assert result.trials > 0
+
+
+def record_atlas_table():
+    """Rewrite ``atlas.g6`` from networkx's graph atlas: one graph6 line per
+    graph, in atlas order, over its vertices in sorted order."""
+    lines = [nx.to_graph6_bytes(g, nodes=sorted(g), header=False) for g in nx.graph_atlas_g()]
+    checks._ATLAS.write_bytes(b"".join(lines))
+
+
+if __name__ == "__main__":
+    sys.exit(record_atlas_table())

@@ -422,6 +422,14 @@ class TestCheck:
         assert out == ""
         assert f"argument {flag}: must be at least {low}, got {value}" in err
 
+    @pytest.mark.parametrize("value", ["8", "12"])
+    def test_simple_vertices_beyond_the_atlas_are_refused(self, capsys, value):
+        out, err = refused_at_parse(
+            capsys, "check", "excisive", *E_STAR_2, "--max-simple-vertices", value
+        )
+        assert out == ""
+        assert f"argument --max-simple-vertices: must be at most 7, got {value}" in err
+
     def test_negative_limit_is_refused(self, capsys):
         out, err = refused_at_parse(
             capsys, "check", "equal",
@@ -567,6 +575,16 @@ class TestCheck:
         )
         assert code == 2
         assert "concrete motifs" in err
+
+    @pytest.mark.parametrize("prop, k", [("hull", []), ("connected-hull", ["--k", "2"])])
+    def test_graph_without_vertices_is_refused(self, capsys, tmp_path, prop, k):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"vertices": [], "edges": []}))
+        code, out, err = run_cli(
+            capsys, "check", prop, "--motifs", "{K_2}", "--graph", str(empty), *k, *SMALL,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {prop} needs a --graph with at least one vertex\n"
 
 
 class TestWitness:
