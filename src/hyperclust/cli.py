@@ -238,13 +238,9 @@ def run_check(args):
             f"{', '.join(_CHECK_NAMES)}"
         )
     prop = args.property
-    bounds = _bounds_from_args(args, CorpusBounds)
-    corpus = generate_corpus(bounds, use_cache=not args.no_cache)
-    if args.extra:
-        corpus = corpus.with_extra_graphs(
-            [parse_graph_arg(t) for t in args.extra]
-        )
-    cache = ClusterCache()
+    # Every argument is read before the corpus is built or loaded, so a
+    # usage error is refused at once and leaves no cache file behind.
+    extras = [parse_graph_arg(t) for t in args.extra] if args.extra else []
     if prop in ("hull", "connected-hull"):
         if not args.motifs or not args.graph:
             raise ValueError(f"{prop} needs --motifs and --graph")
@@ -252,33 +248,40 @@ def run_check(args):
         graph = parse_graph_arg(args.graph)
         if not graph.vertices:
             raise ValueError(f"{prop} needs a --graph with at least one vertex")
+        k = None
         if prop == "connected-hull" or args.k is not None:
             if args.k is None:
                 raise ValueError("connected-hull needs --k")
             k = parse_threshold(args.k)
-            report = connected_hull_check(motifs, graph, k, corpus, cache)
-        else:
-            report = hull_check(motifs, graph, corpus, cache)
+    elif prop in ("refines", "equal"):
+        if not args.scheme or not args.scheme2:
+            raise ValueError(f"{prop} needs --scheme and --scheme2")
+        schemes = (
+            parse_scheme_spec(args.scheme),
+            parse_scheme_spec(args.scheme2),
+        )
     else:
-        if prop in ("refines", "equal"):
-            if not args.scheme or not args.scheme2:
-                raise ValueError(f"{prop} needs --scheme and --scheme2")
-            schemes = (
-                parse_scheme_spec(args.scheme),
-                parse_scheme_spec(args.scheme2),
-            )
+        if not args.scheme:
+            raise ValueError(f"{prop} needs --scheme")
+        schemes = (parse_scheme_spec(args.scheme),)
+    bounds = _bounds_from_args(args, CorpusBounds)
+    corpus = generate_corpus(bounds, use_cache=not args.no_cache)
+    if extras:
+        corpus = corpus.with_extra_graphs(extras)
+    cache = ClusterCache()
+    if prop in ("hull", "connected-hull"):
+        if k is None:
+            report = hull_check(motifs, graph, corpus, cache)
         else:
-            if not args.scheme:
-                raise ValueError(f"{prop} needs --scheme")
-            schemes = (parse_scheme_spec(args.scheme),)
-        if prop == "functorial":
-            report = check_functorial(*schemes, corpus, cache)
-        elif prop == "excisive":
-            report = check_excisive(*schemes, corpus, cache)
-        elif prop == "refines":
-            report = check_refines(*schemes, corpus, cache)
-        else:
-            report = check_scheme_equal(*schemes, corpus, cache)
+            report = connected_hull_check(motifs, graph, k, corpus, cache)
+    elif prop == "functorial":
+        report = check_functorial(*schemes, corpus, cache)
+    elif prop == "excisive":
+        report = check_excisive(*schemes, corpus, cache)
+    elif prop == "refines":
+        report = check_refines(*schemes, corpus, cache)
+    else:
+        report = check_scheme_equal(*schemes, corpus, cache)
     _emit_json(report.to_json(limit=args.limit), args.out)
     return 0 if report.passed else 1
 

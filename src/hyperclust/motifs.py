@@ -23,10 +23,13 @@ class BudgetExceededError(Exception):
     A node is a candidate vertex that passes the injectivity, order and
     profile tests and every closing-edge test, so a budget goes further for
     motifs with closing edges, such as K_3 and C_n, than one that counted
-    candidates before those tests.  ``found`` counts the embeddings
-    accounted for before the search gave up.  Each representative found
-    stands for its whole Aut(motif) coset, so this is the number of
-    representatives times the motif's automorphism count.
+    candidates before those tests.  The search runs as its plan compiled to
+    nested loops (see :func:`_search`), and a node is the same there: the
+    last position, whose candidates are taken in one pass, counts each of
+    them and keeps only those within the budget.  ``found`` counts the
+    embeddings accounted for before the search gave up.  Each
+    representative found stands for its whole Aut(motif) coset, so this is
+    the number of representatives times the motif's automorphism count.
     """
 
     def __init__(self, budget, found):
@@ -78,12 +81,14 @@ class _Plan:
 
     A search node is a candidate that passes the injectivity, order and
     profile tests and every closing-edge test: the requests prune the
-    candidates before any is counted.
+    candidates before any is counted.  ``kernel`` is the search compiled to
+    nested loops for ``requests`` and ``lower`` (see :func:`_search`); its
+    source holds only these integers, and plans of the same shape share it.
     """
 
     __slots__ = (
         "order", "sizes", "requests", "needs", "kinds", "slots",
-        "lower", "levels", "group_size",
+        "lower", "levels", "group_size", "kernel",
     )
 
 
@@ -127,6 +132,7 @@ def _build_plan(motif):
     plan.kinds = tuple(kinds.setdefault(need, len(kinds)) for need in needs)
     plan.slots = tuple(position[v] for v in motif.vertices)
     plan.lower, plan.levels, plan.group_size = _stabilizer_chain(plan, motif)
+    plan.kernel = _compile(plan.requests, plan.lower, False, False) if order else None
     return plan
 
 
@@ -174,34 +180,225 @@ def _ranked_length(entry):
     return len(entry[0])
 
 
+def _completions(table, through, key):
+    # The vertices that complete the images key[1:] to a key[0]-edge, as
+    # (ascending tuple, set), kept in this search's table.
+    size, held = key[0], key[1:]
+    edges = [s for s in through.get(size, {}).get(held[0], ()) if s.issuperset(held)]
+    members = set().union(*edges)
+    members.difference_update(held)
+    entry = table[key] = (tuple(sorted(members)), members)
+    return entry
+
+
+# CPython refuses more than 20 statically nested blocks in one function, so
+# a plan with more positions is split into chained functions of this many.
+_BLOCK = 16
+# A position compares its candidate with at most this many earlier images
+# one by one; past that it looks the candidate up in a set of them.
+_FEW = 8
+
+
+def _kernel_source(requests, lower, first, counted):
+    """Python source of the search for one plan shape: one ``for`` loop per
+    position, nested in placement order, in functions ``_block0``,
+    ``_block1``, ... of at most :data:`_BLOCK` positions each.
+
+    Every block takes the search's state and the images placed before it,
+    appends what it finds to ``found`` and returns the node count.  The text
+    is built from the positions, sizes and flags alone: no vertex name of
+    any motif or graph enters it.
+    """
+    n = len(requests)
+    # below[i]: the positions whose images the order constraints put below
+    # the image of i, directly or through other positions.
+    below = []
+    for i in range(n):
+        below.append(set(lower[i]).union(*(below[p] for p in lower[i])))
+    # distinct[i]: the earlier positions whose images the candidate for i
+    # must be tested against, because no completion set and no floor rules
+    # them out already.
+    distinct = []
+    for i in range(n):
+        ruled_out = below[i].union(*(placed for _, placed in requests[i]))
+        distinct.append([p for p in range(i) if p not in ruled_out])
+    # The positions whose images go into the set ``used`` while placed.
+    tracked = set().union(*(d for d in distinct if len(d) > _FEW))
+    lines = []
+
+    def emit(depth, text):
+        lines.append("    " * depth + text)
+
+    def images(stop):
+        return [f"w{p}" for p in range(stop)]
+
+    def state(stop):
+        # A block's arguments: the search's state and the images placed.
+        return ", ".join([
+            "plan", "vertices", "index", "through", "table", "used", "profile",
+            "budget", "found", "nodes", *images(stop),
+        ])
+
+    leaf = f"({', '.join(images(n))}{',' if n == 1 else ''})"
+
+    def overrun(depth, kept):
+        # ``kept``: how many embeddings were found before the node that
+        # ran past the budget.
+        if counted:
+            emit(depth, "if nodes > budget:")
+            emit(depth + 1, f"raise BudgetExceededError(budget, {kept} * plan.group_size)")
+
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        emit(0, f"def _block{start // _BLOCK}({state(start)}):")
+        for i in range(start, stop):
+            emit(1, f"f{i} = profile[{i}]")
+        singles = sorted({size for i in range(start, stop)
+                          for size, placed in requests[i] if len(placed) == 1})
+        for size in singles:
+            emit(1, f"c{size} = index[{size}]")
+        # (size, placed) -> the name of its entry, once some position of
+        # this block has looked it up; deeper positions reuse it.
+        entries = {}
+        depth = 1
+        # Lines that end the loop bodies of this block, innermost last.
+        closing = []
+        for i in range(start, stop):
+            names = []
+            for size, placed in requests[i]:
+                name = entries.get((size, placed))
+                if name is None:
+                    name = entries[size, placed] = f"e{size}_" + "_".join(map(str, placed))
+                    if len(placed) == 1:
+                        emit(depth, f"{name} = c{size}[w{placed[0]}]")
+                    else:
+                        key = ", ".join(f"w{p}" for p in placed)
+                        emit(depth, f"k = ({size}, {key})")
+                        emit(depth, f"{name} = table.get(k) or _completions(table, through, k)")
+                names.append(name)
+            # The smallest completion set is walked; the others filter it.
+            tests = []
+            if not names:
+                seq = "vertices"
+            elif len(names) == 1:
+                seq = f"{names[0]}[0]"
+            elif len(names) == 2:
+                a, b = names
+                seq = f"s{i}"
+                emit(depth, f"if len({b}[0]) < len({a}[0]):")
+                emit(depth + 1, f"s{i}, o{i}_1 = {b}[0], {a}[1]")
+                emit(depth, "else:")
+                emit(depth + 1, f"s{i}, o{i}_1 = {a}[0], {b}[1]")
+                tests.append(f"w{i} not in o{i}_1")
+            else:
+                seq = f"s{i}"
+                emit(depth, f"r = sorted(({', '.join(names)}), key=_ranked_length)")
+                emit(depth, f"s{i} = r[0][0]")
+                for k in range(1, len(names)):
+                    emit(depth, f"o{i}_{k} = r[{k}][1]")
+                    tests.append(f"w{i} not in o{i}_{k}")
+            if lower[i]:
+                # Positions below another of lower[i] set no higher floor.
+                tops = [p for p in lower[i] if not any(p in below[q] for q in lower[i])]
+                floor = f"w{tops[0]}" if len(tops) == 1 else f"max({', '.join(f'w{p}' for p in tops)})"
+                if seq == "vertices" or len(names) == 1:
+                    emit(depth, f"s{i} = {seq}")
+                    seq = f"s{i}"
+                seq = f"{seq}[bisect_right({seq}, {floor}):]"
+            tests.append(f"f{i} is not None and w{i} not in f{i}")
+            if len(distinct[i]) > _FEW:
+                tests.append(f"w{i} in used")
+            else:
+                tests += [f"w{i} == w{p}" for p in distinct[i]]
+            rejected = " or ".join(tests)
+            if i == n - 1 and not first:
+                # Every leaf is a node; those past the budget are not found.
+                if counted:
+                    emit(depth, "before = len(found)")
+                emit(depth, f"found += [{leaf} for w{i} in {seq} if not ({rejected})]")
+                if counted:
+                    emit(depth, "nodes += len(found) - before")
+                overrun(depth, "(len(found) - nodes + budget)")
+                break
+            emit(depth, f"for w{i} in {seq}:")
+            emit(depth + 1, f"if {rejected}:")
+            emit(depth + 2, "continue")
+            depth += 1
+            if counted:
+                emit(depth, "nodes += 1")
+            overrun(depth, "len(found)")
+            if i == n - 1:
+                emit(depth, f"found.append({leaf})")
+                emit(depth, "return nodes")
+            elif i in tracked:
+                emit(depth, f"used.add(w{i})")
+                closing.append((depth, f"used.discard(w{i})"))
+        if stop < n:
+            emit(depth, f"nodes = _block{stop // _BLOCK}({state(stop)})")
+            if first:
+                emit(depth, "if found:")
+                emit(depth + 1, "return nodes")
+        for depth, line in reversed(closing):
+            emit(depth, line)
+        emit(1, "return nodes")
+        emit(0, "")
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile(requests, lower, first, counted):
+    """The compiled search for one plan shape, shared by every plan with
+    the same ``requests`` and ``lower`` (see :func:`_kernel_source`)."""
+    source = _kernel_source(requests, lower, first, counted)
+    namespace = {
+        "bisect_right": bisect_right,
+        "BudgetExceededError": BudgetExceededError,
+        "_completions": _completions,
+        "_ranked_length": _ranked_length,
+    }
+    exec(compile(source, "<search plan>", "exec", dont_inherit=True), namespace)
+    kernel = namespace["_block0"]
+    kernel.source = source
+    return kernel
+
+
 def _search(plan, graph, lower, pins=None, first=False, budget=None):
     """The search kernel: position-ordered image tuples of the embeddings
     of the plan's motif into ``graph`` whose image at i exceeds the images
     at ``lower[i]`` and equals ``pins[i]`` where pinned; only the first one
     found when ``first``.
 
-    An iterative depth-first walk with one candidate cursor per depth.  The
-    candidates for position i are the intersection of the vertex sets of
-    its completion requests (see :class:`_Plan`): the smallest set is walked
-    in ascending vertex order from just above the largest image at
-    ``lower[i]``, and the others filter it by membership, all as one chain
-    of C-level iterators, so embeddings come out in the same order as from
-    trying every vertex in turn.  A request with one placed image is read
-    from the graph's :meth:`~hyperclust.graphs.Hypergraph.search_index`,
+    The walk is the plan compiled to Python (see :func:`_kernel_source`):
+    one nested ``for`` loop per position, so each placed image is a local
+    variable.  The candidates for position i are the intersection of the
+    vertex sets of its completion requests (see :class:`_Plan`): the
+    smallest set, chosen as the search runs, is walked in ascending vertex
+    order from just above the largest image at ``lower[i]``, and the others
+    filter it by membership, so embeddings come out in the same order as
+    from trying every vertex in turn.  A request with one placed image is
+    read from the graph's :meth:`~hyperclust.graphs.Hypergraph.search_index`,
     which the graph's first search builds and every later search reuses;
     only completions of two or more placed images go into a table of this
-    call.  The profile test is a last filter against the position's profile
-    set, left out when every vertex of the graph meets the profile, so no
-    index entry depends on the motif.
+    call.  The profile test is a filter against the position's profile set,
+    left out when every vertex of the graph meets the profile, so no index
+    entry depends on the motif; a pin narrows its position's set to the
+    pinned vertex.  The last position takes all its leaves in one
+    comprehension.
 
     A node is a candidate that passes the injectivity, order and profile
-    tests and every closing-edge test; each counts against ``budget``.
+    tests and every closing-edge test; each counts against ``budget``.  The
+    generated source holds only the plan's integers, and one compile serves
+    every plan of the same shape; the plain search is kept on the plan.
     """
-    requests, needs, kinds = plan.requests, plan.needs, plan.kinds
-    n = len(requests)
-    if n == 0:
+    requests = plan.requests
+    if not requests:
         # A motif with no vertices has one embedding, the empty map.
         return [()]
+    if first or budget is not None or lower is not plan.lower:
+        kernel = _compile(requests, lower, first, budget is not None)
+    else:
+        kernel = plan.kernel
+    needs, kinds = plan.needs, plan.kinds
     vertices = graph.vertices
     index = graph.search_index()
     through = index.through
@@ -209,90 +406,28 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None):
     fitting = {}
     for i, kind in enumerate(kinds):
         if kind not in fitting:
-            fits = vertices
+            fits = None
             for size, count in needs[i]:
                 incident = through.get(size, {})
-                fits = [w for w in fits if len(incident.get(w, ())) >= count]
-            fitting[kind] = None if len(fits) == len(vertices) else frozenset(fits)
-    profile = [fitting[kind] for kind in kinds]
-    # (size, *images) -> the vertices completing the images to a size-edge,
-    # as (ascending tuple, set), filled as the search asks.
-    table = {}
-    image = [None] * n
-    image_at = image.__getitem__
-
-    def completions(key):
-        size, held = key[0], key[1:]
-        edges = [s for s in through.get(size, {}).get(held[0], ()) if s.issuperset(held)]
-        members = set().union(*edges)
-        members.difference_update(held)
-        entry = table[key] = (tuple(sorted(members)), members)
-        return entry
-
-    def candidates(i):
-        reqs = requests[i]
-        others = ()
-        if not reqs:
-            seq = vertices
-        else:
-            entries = []
-            for size, placed in reqs:
-                if len(placed) == 1:
-                    entry = index[size][image[placed[0]]]
+                if count == 1:
+                    if len(incident) == len(vertices):
+                        continue
+                    meets = incident.keys()
                 else:
-                    key = (size, *map(image_at, placed))
-                    entry = table.get(key)
-                    if entry is None:
-                        entry = completions(key)
-                entries.append(entry)
-            if len(entries) > 1:
-                entries.sort(key=_ranked_length)
-                others = entries[1:]
-            seq = entries[0][0]
-        low = lower[i]
-        if low:
-            floor = image[low[0]] if len(low) == 1 else max(map(image_at, low))
-            walk = itertools.islice(seq, bisect_right(seq, floor), None)
-        else:
-            walk = iter(seq)
-        for other in others:
-            walk = filter(other[1].__contains__, walk)
-        fits = profile[i]
-        if fits is not None:
-            walk = filter(fits.__contains__, walk)
-        if pins and i in pins:
-            return iter((pins[i],) if pins[i] in walk else ())
-        return walk
-
-    used = set()
-    last = n - 1
+                    meets = [w for w, edges in incident.items() if len(edges) >= count]
+                fits = set(meets) if fits is None else fits.intersection(meets)
+            if fits is not None and len(fits) < len(vertices):
+                fitting[kind] = frozenset(fits)
+            else:
+                fitting[kind] = None
+    profile = [fitting[kind] for kind in kinds]
+    if pins:
+        # A pinned position admits only its pin, when that meets the profile.
+        for i, w in pins.items():
+            fits = profile[i]
+            profile[i] = frozenset((w,) if fits is None or w in fits else ())
     found = []
-    nodes = 0
-    i = 0
-    cursors = [candidates(0)]
-    while cursors:
-        for w in cursors[-1]:
-            if w in used:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget, len(found) * plan.group_size)
-            image[i] = w
-            if i == last:
-                found.append(tuple(image))
-                if first:
-                    return found
-                continue
-            used.add(w)
-            i += 1
-            cursors.append(candidates(i))
-            break
-        else:
-            # Position i is exhausted: step back and free the image before it.
-            cursors.pop()
-            i -= 1
-            if i >= 0:
-                used.discard(image[i])
+    kernel(plan, vertices, index, through, {}, set(), profile, budget, found, 0)
     return found
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive: permutation scans, brute-force
-subset enumeration, or thin wrappers over networkx.  The library under test
+subset enumeration, thin wrappers over networkx, or the interpreted
+embedding search that the compiled one replaced.  The library under test
 must agree with these on every graph small enough to afford them.  The
 helpers at the end (relabelling, the expansion edge-id parser, morphism
 JSON round trips, the morphism validity sweep) serve only the tests, so
@@ -12,6 +13,7 @@ import dataclasses
 import functools
 import itertools
 import re
+from bisect import bisect_right
 
 import networkx as nx
 
@@ -24,7 +26,7 @@ from hyperclust.graphs import (
     hypergraph_to_json,
     validate_graph_morphism,
 )
-from hyperclust.motifs import expansion_edge_sets
+from hyperclust.motifs import BudgetExceededError, expansion_edge_sets
 
 
 def to_nx(graph):
@@ -74,6 +76,133 @@ def naive_embeddings(motif, graph):
         ):
             found.append(mapping)
     found.sort(key=lambda m: tuple(m[v] for v in motif.vertices))
+    return found
+
+
+def _ranked_length(entry):
+    return len(entry[0])
+
+
+def reference_search(plan, graph, lower, pins=None, first=False, budget=None):
+    """The interpreted search kernel that compiled plans replaced, kept as
+    the reference ``hyperclust.motifs._search`` must match: position-ordered
+    image tuples of the embeddings of the plan's motif into ``graph`` whose
+    image at i exceeds the images at ``lower[i]`` and equals ``pins[i]``
+    where pinned; only the first one found when ``first``.
+
+    An iterative depth-first walk with one candidate cursor per depth.  The
+    candidates for position i are the intersection of the vertex sets of
+    its completion requests (see :class:`_Plan`): the smallest set is walked
+    in ascending vertex order from just above the largest image at
+    ``lower[i]``, and the others filter it by membership, all as one chain
+    of C-level iterators, so embeddings come out in the same order as from
+    trying every vertex in turn.  A request with one placed image is read
+    from the graph's :meth:`~hyperclust.graphs.Hypergraph.search_index`,
+    which the graph's first search builds and every later search reuses;
+    only completions of two or more placed images go into a table of this
+    call.  The profile test is a last filter against the position's profile
+    set, left out when every vertex of the graph meets the profile, so no
+    index entry depends on the motif.
+
+    A node is a candidate that passes the injectivity, order and profile
+    tests and every closing-edge test; each counts against ``budget``.
+    """
+    requests, needs, kinds = plan.requests, plan.needs, plan.kinds
+    n = len(requests)
+    if n == 0:
+        # A motif with no vertices has one embedding, the empty map.
+        return [()]
+    vertices = graph.vertices
+    index = graph.search_index()
+    through = index.through
+    # kind -> the vertices meeting that profile, or None when all of them do.
+    fitting = {}
+    for i, kind in enumerate(kinds):
+        if kind not in fitting:
+            fits = vertices
+            for size, count in needs[i]:
+                incident = through.get(size, {})
+                fits = [w for w in fits if len(incident.get(w, ())) >= count]
+            fitting[kind] = None if len(fits) == len(vertices) else frozenset(fits)
+    profile = [fitting[kind] for kind in kinds]
+    # (size, *images) -> the vertices completing the images to a size-edge,
+    # as (ascending tuple, set), filled as the search asks.
+    table = {}
+    image = [None] * n
+    image_at = image.__getitem__
+
+    def completions(key):
+        size, held = key[0], key[1:]
+        edges = [s for s in through.get(size, {}).get(held[0], ()) if s.issuperset(held)]
+        members = set().union(*edges)
+        members.difference_update(held)
+        entry = table[key] = (tuple(sorted(members)), members)
+        return entry
+
+    def candidates(i):
+        reqs = requests[i]
+        others = ()
+        if not reqs:
+            seq = vertices
+        else:
+            entries = []
+            for size, placed in reqs:
+                if len(placed) == 1:
+                    entry = index[size][image[placed[0]]]
+                else:
+                    key = (size, *map(image_at, placed))
+                    entry = table.get(key)
+                    if entry is None:
+                        entry = completions(key)
+                entries.append(entry)
+            if len(entries) > 1:
+                entries.sort(key=_ranked_length)
+                others = entries[1:]
+            seq = entries[0][0]
+        low = lower[i]
+        if low:
+            floor = image[low[0]] if len(low) == 1 else max(map(image_at, low))
+            walk = itertools.islice(seq, bisect_right(seq, floor), None)
+        else:
+            walk = iter(seq)
+        for other in others:
+            walk = filter(other[1].__contains__, walk)
+        fits = profile[i]
+        if fits is not None:
+            walk = filter(fits.__contains__, walk)
+        if pins and i in pins:
+            return iter((pins[i],) if pins[i] in walk else ())
+        return walk
+
+    used = set()
+    last = n - 1
+    found = []
+    nodes = 0
+    i = 0
+    cursors = [candidates(0)]
+    while cursors:
+        for w in cursors[-1]:
+            if w in used:
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(budget, len(found) * plan.group_size)
+            image[i] = w
+            if i == last:
+                found.append(tuple(image))
+                if first:
+                    return found
+                continue
+            used.add(w)
+            i += 1
+            cursors.append(candidates(i))
+            break
+        else:
+            # Position i is exhausted: step back and free the image before it.
+            cursors.pop()
+            i -= 1
+            if i >= 0:
+                used.discard(image[i])
     return found
 
 

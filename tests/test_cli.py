@@ -586,6 +586,39 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == f"error: {prop} needs a --graph with at least one vertex\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["connected-hull", "--motifs", "{K_2}", "--graph", "P_3"],
+             "connected-hull needs --k"),
+            (["connected-hull", "--motifs", "{K_2}", "--graph", "P_3", "--k", "nope"],
+             "bad overlap threshold: 'nope'"),
+            (["hull", "--graph", "P_3"], "hull needs --motifs and --graph"),
+            (["hull", "--motifs", "{E*}", "--graph", "P_3"], "hull needs concrete motifs"),
+            (["hull", "--motifs", "{K_2}", "--graph", "nonsense"],
+             "graph argument 'nonsense' is neither a file nor a builtin name"),
+            (["equal", "--scheme", "classic"], "equal needs --scheme and --scheme2"),
+            (["refines", "--scheme", "classic", "--scheme2", "toy:nah"],
+             "unknown toy rule: 'nah'"),
+            (["functorial"], "functorial needs --scheme"),
+            (["excisive", "--scheme", "bogus"], "unrecognized scheme spec: 'bogus'"),
+            (["excisive", "--scheme", "classic", "--extra", "nonsense"],
+             "graph argument 'nonsense' is neither a file nor a builtin name"),
+        ],
+    )
+    def test_usage_errors_are_refused_before_the_corpus_is_built(
+        self, capsys, monkeypatch, tmp_path, argv, message
+    ):
+        # Five edges make a cold corpus take seconds to build; a refusal
+        # must come before it and leave the cache directory empty.
+        cache = tmp_path / "empty-cache"
+        cache.mkdir()
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(cache))
+        code, out, err = run_cli(capsys, "check", *argv, "--max-edges", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert list(cache.iterdir()) == []
+
 
 class TestWitness:
     def test_tailed_triangles(self, capsys):

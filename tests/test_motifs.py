@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +360,183 @@ class TestSearchIndex:
         target = Hypergraph("uxyz", {"f1": "xy", "f2": "xz", "f3": "xu", "f4": "yz"})
         assert motifs._representatives(motif, target, budget=5) == [("y", "z", "x", "u")]
         assert found_under(motif, target, 4) == 2
+
+
+def outcome(search, plan, graph, lower, **options):
+    """What one search returns, or the embedding count its budget error
+    reports."""
+    try:
+        return search(plan, graph, lower, **options)
+    except BudgetExceededError as err:
+        return ("over budget", err.found)
+
+
+def assert_searches_agree(plan, graph, lower, **options):
+    compiled = outcome(motifs._search, plan, graph, lower, **options)
+    assert compiled == outcome(oracles.reference_search, plan, graph, lower, **options)
+
+
+def chain(plan):
+    """A plan's stabilizer chain, each transversal element shown as what it
+    does to the tuple 0, 1, ..."""
+    identity = tuple(range(len(plan.order)))
+    levels = [[move(identity) for move in level] for level in plan.levels]
+    return plan.order, plan.lower, levels, plan.group_size
+
+
+def reference_chain(motif):
+    """The stabilizer chain that the reference search builds for ``motif``."""
+    with mock.patch.object(motifs, "_search", oracles.reference_search):
+        return chain(motifs._build_plan.__wrapped__(motif))
+
+
+def kernel_sources(plan):
+    """The source of every compiled variant a search with ``plan`` uses."""
+    unconstrained = ((),) * len(plan.order)
+    return [
+        motifs._compile(plan.requests, lower, first, counted).source
+        for lower in (plan.lower, unconstrained)
+        for first in (False, True)
+        for counted in (False, True)
+    ]
+
+
+# Vertex names that would break generated source if it quoted them.
+HOSTILE_NAMES = ['q"uote', "it's", "back\\slash", "new\nline", "{brace}", "}{close", "'''", '"""']
+
+
+class TestCompiledSearch:
+    """The compiled kernel against the interpreted one it replaced,
+    ``oracles.reference_search``: the same tuples in the same order, the
+    same budget overruns and the same stabilizer chains."""
+
+    def test_small_corpus_pairs_search_like_the_reference(self, corpus):
+        small = [g for g in corpus.graphs if len(g.vertices) <= 4]
+        pairs = list(itertools.permutations(small, 2))
+        assert len(pairs) == 187922
+        differ = []
+        for motif, graph in pairs:
+            plan = motifs._plan(motif)
+            found = motifs._search(plan, graph, plan.lower)
+            if found != oracles.reference_search(plan, graph, plan.lower):
+                differ.append((corpus.graph_id(motif), corpus.graph_id(graph)))
+        assert differ == []
+
+    def test_small_corpus_chains_match_the_reference(self, corpus):
+        small = [g for g in corpus.graphs if len(g.vertices) <= 4]
+        assert len(small) == 434
+        compiled = [chain(motifs._build_plan.__wrapped__(g)) for g in small]
+        assert compiled == [reference_chain(g) for g in small]
+
+    @given(
+        hypergraphs(max_vertices=5, max_edges=5, max_edge_size=4),
+        hypergraphs(max_vertices=7, max_edges=8, max_edge_size=4),
+        st.integers(0, 60),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hypergraphs_search_like_the_reference(self, motif, graph, budget, rng):
+        plan = motifs._build_plan.__wrapped__(motif)
+        assert chain(plan) == reference_chain(motif)
+        n = len(plan.order)
+        unconstrained = ((),) * n
+        # Order constraints no stabilizer chain gives: any earlier positions.
+        scrambled = tuple(tuple(sorted(rng.sample(range(i), rng.randint(0, i)))) for i in range(n))
+        pins = {
+            i: rng.choice(graph.vertices)
+            for i in range(n)
+            if graph.vertices and rng.random() < 0.5
+        }
+        for lower in (plan.lower, unconstrained, scrambled):
+            for first in (False, True):
+                assert_searches_agree(plan, graph, lower, first=first)
+                assert_searches_agree(plan, graph, lower, first=first, budget=budget)
+                assert_searches_agree(plan, graph, lower, pins=pins, first=first)
+                assert_searches_agree(
+                    plan, graph, lower, pins=pins, first=first, budget=budget
+                )
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_MOTIFS))
+    def test_budgets_trip_where_the_reference_trips(self, name):
+        motif = SYMMETRIC_MOTIFS[name]
+        plan = motifs._plan(motif)
+        rng = random.Random(name)
+        targets = [
+            _bench_graph("hub", 20, 0, 0),
+            random_degenerate_graph(24, 3, random.Random(7)),
+            TARGETS["mixed"],
+        ]
+        for graph in targets:
+            nodes = node_count(motif, graph)
+            budgets = {nodes - 1, nodes, *rng.sample(range(nodes + 1), min(nodes, 20))}
+            for budget in sorted(budgets - {-1}):
+                assert_searches_agree(plan, graph, plan.lower, budget=budget)
+            if nodes:
+                reference = outcome(
+                    oracles.reference_search, plan, graph, plan.lower, budget=nodes - 1
+                )
+                assert reference == ("over budget", found_under(motif, graph, nodes - 1))
+
+    def test_plans_past_the_nesting_limit_search_like_the_reference(self):
+        # CPython nests at most 20 blocks in one function, so both motifs
+        # need more than one generated block.
+        names = [f"u{i:02}" for i in range(28)]
+        # A path on 17 vertices, a triangle and 5 isolated vertices.
+        scattered = Hypergraph(names[:25], {
+            **{f"p{i}": names[i:i + 2] for i in range(16)},
+            "t1": names[17:19], "t2": names[18:20], "t3": names[17:20:2],
+        })
+        # The same with a second triangle on three more vertices.
+        crowded = Hypergraph(names, {
+            **scattered.edges,
+            "s1": names[25:27], "s2": names[26:28], "s3": names[25:28:2],
+        })
+        cases = [
+            (path(30), [path(30), path(34), cycle(31), cycle(30)]),
+            (scattered, [scattered, crowded]),
+        ]
+        for motif, targets in cases:
+            plan = motifs._build_plan.__wrapped__(motif)
+            assert "_block1" in plan.kernel.source
+            assert chain(plan) == reference_chain(motif)
+            for graph in targets:
+                found = motifs._search(plan, graph, plan.lower)
+                assert found and found == oracles.reference_search(plan, graph, plan.lower)
+                for budget in (0, len(found) // 2, len(found)):
+                    assert_searches_agree(plan, graph, plan.lower, budget=budget)
+                assert_searches_agree(plan, graph, plan.lower, first=True)
+                pins = {0: found[-1][0], 20: found[-1][20]}
+                assert_searches_agree(plan, graph, plan.lower, pins=pins, first=True)
+                assert_searches_agree(plan, graph, plan.lower, pins=pins)
+
+    def test_hostile_vertex_names_search_and_stay_out_of_the_source(self):
+        a, b, c, d, e, f, g, h = HOSTILE_NAMES
+        motif = Hypergraph([a, b, c, d, e], {
+            "x1": (a, b), "x2": (b, c), "x3": (a, c), "x4": (c, d), "x5": (d, e, a),
+        })
+        graph = Hypergraph(HOSTILE_NAMES, {
+            "y1": (a, b), "y2": (b, c), "y3": (a, c), "y4": (c, d), "y5": (d, e, a),
+            "y6": (b, d), "y7": (a, d), "y8": (e, f), "y9": (f, g, h), "y10": (g, a, d),
+            "y11": (c, e), "y12": (e, b, d), "y13": (b, e),
+        })
+        plan = motifs._build_plan.__wrapped__(motif)
+        assert chain(plan) == reference_chain(motif)
+        found = motifs._search(plan, graph, plan.lower)
+        assert found == oracles.reference_search(plan, graph, plan.lower)
+        maps = [emb.map for emb in enumerate_embeddings(motif, graph)]
+        assert maps and maps == oracles.naive_embeddings(motif, graph)
+        for source in kernel_sources(plan):
+            assert [name for name in HOSTILE_NAMES if name in source] == []
+            # No string literal anywhere: the source holds no quote.
+            assert "'" not in source and '"' not in source
+
+    def test_plans_of_one_shape_share_one_compile(self):
+        renamed = Hypergraph("wxyz", {
+            f"f{i}": pair for i, pair in enumerate(("wx", "wy", "wz", "xy", "xz", "yz"))
+        })
+        first = motifs._build_plan.__wrapped__(complete_graph(4))
+        second = motifs._build_plan.__wrapped__(renamed)
+        assert first.kernel is second.kernel
 
 
 class TestExpansion:
