@@ -194,9 +194,6 @@ def _completions(table, through, key):
 # CPython refuses more than 20 statically nested blocks in one function, so
 # a plan with more positions is split into chained functions of this many.
 _BLOCK = 16
-# A position compares its candidate with at most this many earlier images
-# one by one; past that it looks the candidate up in a set of them.
-_FEW = 8
 
 
 def _kernel_source(requests, lower, first, counted):
@@ -222,8 +219,6 @@ def _kernel_source(requests, lower, first, counted):
     for i in range(n):
         ruled_out = below[i].union(*(placed for _, placed in requests[i]))
         distinct.append([p for p in range(i) if p not in ruled_out])
-    # The positions whose images go into the set ``used`` while placed.
-    tracked = set().union(*(d for d in distinct if len(d) > _FEW))
     lines = []
 
     def emit(depth, text):
@@ -235,7 +230,7 @@ def _kernel_source(requests, lower, first, counted):
     def state(stop):
         # A block's arguments: the search's state and the images placed.
         return ", ".join([
-            "plan", "vertices", "index", "through", "table", "used", "profile",
+            "plan", "vertices", "index", "through", "table", "profile",
             "budget", "found", "nodes", *images(stop),
         ])
 
@@ -261,8 +256,6 @@ def _kernel_source(requests, lower, first, counted):
         # this block has looked it up; deeper positions reuse it.
         entries = {}
         depth = 1
-        # Lines that end the loop bodies of this block, innermost last.
-        closing = []
         for i in range(start, stop):
             names = []
             for size, placed in requests[i]:
@@ -283,6 +276,8 @@ def _kernel_source(requests, lower, first, counted):
             elif len(names) == 1:
                 seq = f"{names[0]}[0]"
             elif len(names) == 2:
+                # The case of K_3 and K_4; a comparison here instead of the
+                # sort takes about a quarter off their searches.
                 a, b = names
                 seq = f"s{i}"
                 emit(depth, f"if len({b}[0]) < len({a}[0]):")
@@ -306,10 +301,7 @@ def _kernel_source(requests, lower, first, counted):
                     seq = f"s{i}"
                 seq = f"{seq}[bisect_right({seq}, {floor}):]"
             tests.append(f"f{i} is not None and w{i} not in f{i}")
-            if len(distinct[i]) > _FEW:
-                tests.append(f"w{i} in used")
-            else:
-                tests += [f"w{i} == w{p}" for p in distinct[i]]
+            tests += [f"w{i} == w{p}" for p in distinct[i]]
             rejected = " or ".join(tests)
             if i == n - 1 and not first:
                 # Every leaf is a node; those past the budget are not found.
@@ -330,16 +322,11 @@ def _kernel_source(requests, lower, first, counted):
             if i == n - 1:
                 emit(depth, f"found.append({leaf})")
                 emit(depth, "return nodes")
-            elif i in tracked:
-                emit(depth, f"used.add(w{i})")
-                closing.append((depth, f"used.discard(w{i})"))
         if stop < n:
             emit(depth, f"nodes = _block{stop // _BLOCK}({state(stop)})")
             if first:
                 emit(depth, "if found:")
                 emit(depth + 1, "return nodes")
-        for depth, line in reversed(closing):
-            emit(depth, line)
         emit(1, "return nodes")
         emit(0, "")
     return "\n".join(lines)
@@ -406,20 +393,11 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None):
     fitting = {}
     for i, kind in enumerate(kinds):
         if kind not in fitting:
-            fits = None
+            fits = vertices
             for size, count in needs[i]:
                 incident = through.get(size, {})
-                if count == 1:
-                    if len(incident) == len(vertices):
-                        continue
-                    meets = incident.keys()
-                else:
-                    meets = [w for w, edges in incident.items() if len(edges) >= count]
-                fits = set(meets) if fits is None else fits.intersection(meets)
-            if fits is not None and len(fits) < len(vertices):
-                fitting[kind] = frozenset(fits)
-            else:
-                fitting[kind] = None
+                fits = [w for w in fits if len(incident.get(w, ())) >= count]
+            fitting[kind] = None if len(fits) == len(vertices) else frozenset(fits)
     profile = [fitting[kind] for kind in kinds]
     if pins:
         # A pinned position admits only its pin, when that meets the profile.
@@ -427,7 +405,7 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None):
             fits = profile[i]
             profile[i] = frozenset((w,) if fits is None or w in fits else ())
     found = []
-    kernel(plan, vertices, index, through, {}, set(), profile, budget, found, 0)
+    kernel(plan, vertices, index, through, {}, profile, budget, found, 0)
     return found
 
 
