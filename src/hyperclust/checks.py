@@ -45,7 +45,7 @@ from .motifs import enumerate_embeddings, expansion_edge_sets
 from .partitions import is_refinement
 from .schemes import MotifScheme, cluster, scheme_label
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 DEFAULT_GUARD = 2_000_000
 _ATLAS = pathlib.Path(__file__).parent / "atlas.g6"
 _ATLAS_MAX_VERTICES = 7
@@ -125,11 +125,16 @@ def _graph_sort_key(graph):
     return (len(graph.vertices), len(graph.edges), shape, encoded, graph.vertices)
 
 
+def _edge_slots(count):
+    # (id, i) for the edge ids e1..e<count> in Hypergraph's order, where
+    # "e10" sorts before "e2"; i is the edge's place in numeric order.
+    return sorted((f"e{i + 1}", i) for i in range(count))
+
+
 def _enumerate_hypergraph_classes(bounds):
     # Candidates are assembled with Hypergraph._make from parts built once
     # per n: the names (already in sorted order), the subsets as frozensets,
-    # and per edge count the ids in Hypergraph's order, where "e10" sorts
-    # before "e2".
+    # and per edge count the _edge_slots.
     out = []
     seen = set()
     for n in range(bounds.max_vertices + 1):
@@ -138,7 +143,7 @@ def _enumerate_hypergraph_classes(bounds):
         for size in range(1, min(n, bounds.max_edge_size) + 1):
             subsets.extend(map(frozenset, itertools.combinations(names, size)))
         for count in range(bounds.max_edges + 1):
-            slots = sorted((f"e{i + 1}", i) for i in range(count))
+            slots = _edge_slots(count)
             for combo in itertools.combinations_with_replacement(subsets, count):
                 graph = Hypergraph._make(names, {eid: combo[i] for eid, i in slots})
                 key = canonical_key(graph)
@@ -201,50 +206,110 @@ def _cache_path(bounds):
     return _cache_dir() / f"corpus-{digest}.jsonl"
 
 
-def _cached_graph(data):
-    # One graph line as _store_cached_graphs writes it, assembled without
-    # normalising.  Vertices and edge ids must be strictly ascending strings
-    # and members among the vertices; any other form raises ValueError.
-    vertices, rows = data["vertices"], data["edges"]
-    edges = {row["id"]: frozenset(row["vertices"]) for row in rows}
-    ids = list(edges)
-    known = frozenset(vertices)
-    if not (
-        sorted(known) == vertices
-        and ids == sorted(ids)
-        and len(ids) == len(rows)
-        and set(map(type, itertools.chain(vertices, ids))) <= {str}
-        and known.issuperset(itertools.chain.from_iterable(edges.values()))
-    ):
-        raise ValueError("cached graph is not in normal form")
-    return Hypergraph._make(tuple(vertices), edges)
+def _cached_vertex_limit(bounds):
+    # The most vertices a corpus graph of these bounds can have.
+    return max(bounds.max_vertices, bounds.max_simple_vertices)
+
+
+def _cache_row(graph, limit):
+    # A graph as its cache row [n, [mask of e1, ..., mask of em]], where bit
+    # j of a mask stands for the j-th name of _vertex_names(n).  A graph
+    # that _cached_graphs would not rebuild exactly raises ValueError.
+    n, m = len(graph.vertices), len(graph.edges)
+    names = _vertex_names(n)
+    ids = [f"e{i}" for i in range(1, m + 1)]
+    if n > limit or list(graph.vertices) != names or list(graph.edges) != sorted(ids):
+        raise ValueError(
+            f"cannot cache {graph!r}: its vertices must be v1..v{n} and its "
+            f"edge ids e1..e{m}, with at most {limit} vertices"
+        )
+    bit = {v: 1 << j for j, v in enumerate(names)}
+    masks = []
+    for eid in ids:
+        members = graph.edges[eid]
+        if not members or not members.issubset(bit):
+            raise ValueError(f"cannot cache {graph!r}: edge {eid} is empty or has a non-vertex")
+        masks.append(sum(bit[v] for v in members))
+    return [n, masks]
+
+
+def _cached_graphs(rows, limit):
+    # The graphs of cache rows, assembled with Hypergraph._make from parts
+    # built once: per vertex count the names and a mask -> frozenset table,
+    # per edge count the _edge_slots.  The rows are checked for types and
+    # ranges only; a mask is range-checked when it first enters its table.
+    # Any other row raises ValueError.
+    names_of, tables, slots_of = {}, {}, {}
+    graphs = []
+    for row in rows:
+        if type(row) is not list or len(row) != 2:
+            raise ValueError("a cache row is [n, masks]")
+        n, masks = row
+        if type(n) is not int or not 0 <= n <= limit or type(masks) is not list:
+            raise ValueError("a cache row's vertex count is out of range")
+        table = tables.get(n)
+        if table is None:
+            table = tables[n] = {}
+            names_of[n] = tuple(_vertex_names(n))
+        names = names_of[n]
+        sets = []
+        for mask in masks:
+            if type(mask) is not int:
+                raise ValueError("a cache row's edge mask is not an int")
+            members = table.get(mask)
+            if members is None:
+                if not 0 < mask < 1 << n:
+                    raise ValueError("a cache row's edge mask is out of range")
+                members = table[mask] = frozenset(
+                    v for j, v in enumerate(names) if mask >> j & 1
+                )
+            sets.append(members)
+        slots = slots_of.get(len(sets))
+        if slots is None:
+            slots = slots_of[len(sets)] = _edge_slots(len(sets))
+        graphs.append(Hypergraph._make(names, {eid: sets[i] for eid, i in slots}))
+    return graphs
 
 
 def _load_cached_graphs(bounds):
     """The cached graphs, or ``None`` unless the file is whole and every
-    graph line is in normal form; the caller then rebuilds the file.
+    graph row reads back; the caller then rebuilds the file.
 
+    Each graph is one line ``[n, [mask_e1, ..., mask_em]]``: its vertices
+    are ``_vertex_names(n)``, its edge ids ``e1`` to ``em``, and bit j of a
+    mask stands for the j-th vertex name, the form every corpus graph has.
     The last line counts the graph lines before it, so an empty or
-    cut-short file is not read as a smaller corpus.  A graph line must list
-    its vertices and its edge ids as strictly ascending strings, the order
-    :class:`Hypergraph` keeps them in, and each edge's members among those
-    vertices.  Such a line is assembled with ``Hypergraph._make`` and equals
-    what ``hypergraph_from_json`` builds from it; a line in any other form
-    was not written by this version, even if it describes a hypergraph.
+    cut-short file is not read as a smaller corpus.  A vertex count must
+    be an int from 0 to the most vertices the bounds allow, and a mask an
+    int from 1 to 2**n - 1; a line in any other form, such as the dict
+    lines earlier versions wrote, was not written by this version.
     """
     try:
         lines = _cache_path(bounds).read_text().splitlines()
         footer = json.loads(lines[-1]) if lines else None
         if footer != {"graphs": len(lines) - 1}:
             return None
-        return [_cached_graph(json.loads(line)) for line in lines[:-1]]
-    except (OSError, ValueError, KeyError, TypeError):
+        # One parse for all rows; the count shows that no line held more
+        # or less than one row.
+        rows = json.loads("[" + ",".join(lines[:-1]) + "]")
+        if len(rows) != len(lines) - 1:
+            return None
+        return _cached_graphs(rows, _cached_vertex_limit(bounds))
+    except (OSError, ValueError):
         return None
 
 
 def _store_cached_graphs(bounds, graphs):
-    # Each writer gets its own temp file, so concurrent runs never write
-    # into one another's, and a stale file left by a killed run is ignored.
+    """Write the graphs as the cache file of ``bounds``, one row per line
+    as :func:`_load_cached_graphs` reads them.
+
+    A graph that could not be read back raises ``ValueError`` before any
+    file is made.  Each writer gets its own temp file and renames it into
+    place, so concurrent runs never write into one another's, and a stale
+    file left by a killed run is ignored.
+    """
+    limit = _cached_vertex_limit(bounds)
+    rows = [_cache_row(graph, limit) for graph in graphs]
     path = _cache_path(bounds)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -257,8 +322,8 @@ def _store_cached_graphs(bounds, graphs):
         with os.fdopen(fd, "w") as handle:
             # mkstemp makes the file private; a cache dir may be shared.
             os.fchmod(handle.fileno(), 0o644)
-            for graph in graphs:
-                handle.write(json.dumps(hypergraph_to_json(graph), sort_keys=True))
+            for row in rows:
+                handle.write(json.dumps(row, separators=(",", ":")))
                 handle.write("\n")
             handle.write(json.dumps({"graphs": len(graphs)}) + "\n")
         os.replace(tmp, path)

@@ -158,14 +158,14 @@ def _stabilizer_chain(plan, motif):
     lower = [[] for _ in range(n)]
     levels = []
     group_size = 1
+    # Built once for the chain; at level i, positions before i are pinned.
+    fixed = _profile(plan, motif)
     for i in range(n):
-        pins = {j: order[j] for j in range(i)}
         moves = []
         for w in order[i + 1:]:
             if plan.needs[position[w]] != plan.needs[i]:
                 continue
-            pins[i] = w
-            hit = _search(plan, motif, unconstrained, pins, first=True)
+            hit = _search(plan, motif, unconstrained, {i: w}, first=True, profile=fixed)
             if hit:
                 lower[position[w]].append(i)
                 image = dict(zip(order, hit[0]))
@@ -173,6 +173,7 @@ def _stabilizer_chain(plan, motif):
         if moves:
             levels.append(tuple(moves))
             group_size *= len(moves) + 1
+        fixed = _pinned(fixed, {i: order[i]})
     return tuple(map(tuple, lower)), tuple(levels), group_size
 
 
@@ -349,7 +350,7 @@ def _compile(requests, lower, first, counted):
     return kernel
 
 
-def _search(plan, graph, lower, pins=None, first=False, budget=None):
+def _search(plan, graph, lower, pins=None, first=False, budget=None, profile=None):
     """The search kernel: position-ordered image tuples of the embeddings
     of the plan's motif into ``graph`` whose image at i exceeds the images
     at ``lower[i]`` and equals ``pins[i]`` where pinned; only the first one
@@ -369,8 +370,10 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None):
     call.  The profile test is a filter against the position's profile set,
     left out when every vertex of the graph meets the profile, so no index
     entry depends on the motif; a pin narrows its position's set to the
-    pinned vertex.  The last position takes all its leaves in one
-    comprehension.
+    pinned vertex.  A caller that searches one graph many times may pass a
+    ``profile`` list built once with :func:`_profile` (the stabilizer chain
+    narrows its own with :func:`_pinned`); ``pins`` go on a copy of it.
+    The last position takes all its leaves in one comprehension.
 
     A node is a candidate that passes the injectivity, order and profile
     tests and every closing-edge test; each counts against ``budget``.  The
@@ -385,11 +388,23 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None):
         kernel = _compile(requests, lower, first, budget is not None)
     else:
         kernel = plan.kernel
+    index = graph.search_index()
+    if profile is None:
+        profile = _profile(plan, graph)
+    if pins:
+        profile = _pinned(profile, pins)
+    found = []
+    kernel(plan, graph.vertices, index, index.through, {}, profile, budget, found, 0)
+    return found
+
+
+def _profile(plan, graph):
+    """Per position, the vertices of ``graph`` that meet its profile
+    (``plan.needs``), or ``None`` when all of them do; positions of one
+    kind share one set."""
     needs, kinds = plan.needs, plan.kinds
     vertices = graph.vertices
-    index = graph.search_index()
-    through = index.through
-    # kind -> the vertices meeting that profile, or None when all of them do.
+    through = graph.search_index().through
     fitting = {}
     for i, kind in enumerate(kinds):
         if kind not in fitting:
@@ -398,15 +413,17 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None):
                 incident = through.get(size, {})
                 fits = [w for w in fits if len(incident.get(w, ())) >= count]
             fitting[kind] = None if len(fits) == len(vertices) else frozenset(fits)
-    profile = [fitting[kind] for kind in kinds]
-    if pins:
-        # A pinned position admits only its pin, when that meets the profile.
-        for i, w in pins.items():
-            fits = profile[i]
-            profile[i] = frozenset((w,) if fits is None or w in fits else ())
-    found = []
-    kernel(plan, vertices, index, through, {}, profile, budget, found, 0)
-    return found
+    return [fitting[kind] for kind in kinds]
+
+
+def _pinned(profile, pins):
+    # A copy of the profile list in which each pinned position admits only
+    # its pin, when that meets the position's profile.
+    profile = list(profile)
+    for i, w in pins.items():
+        fits = profile[i]
+        profile[i] = frozenset((w,) if fits is None or w in fits else ())
+    return profile
 
 
 def _representatives(motif, graph, budget=None):

@@ -83,7 +83,7 @@ def _ranked_length(entry):
     return len(entry[0])
 
 
-def reference_search(plan, graph, lower, pins=None, first=False, budget=None):
+def reference_search(plan, graph, lower, pins=None, first=False, budget=None, profile=None):
     """The interpreted search kernel that compiled plans replaced, kept as
     the reference ``hyperclust.motifs._search`` must match: position-ordered
     image tuples of the embeddings of the plan's motif into ``graph`` whose
@@ -102,7 +102,9 @@ def reference_search(plan, graph, lower, pins=None, first=False, budget=None):
     only completions of two or more placed images go into a table of this
     call.  The profile test is a last filter against the position's profile
     set, left out when every vertex of the graph meets the profile, so no
-    index entry depends on the motif.
+    index entry depends on the motif.  A ``profile`` list, when given, is
+    that filter per position in place of the one built here from
+    ``plan.needs``, as ``hyperclust.motifs._stabilizer_chain`` passes it.
 
     A node is a candidate that passes the injectivity, order and profile
     tests and every closing-edge test; each counts against ``budget``.
@@ -115,16 +117,17 @@ def reference_search(plan, graph, lower, pins=None, first=False, budget=None):
     vertices = graph.vertices
     index = graph.search_index()
     through = index.through
-    # kind -> the vertices meeting that profile, or None when all of them do.
-    fitting = {}
-    for i, kind in enumerate(kinds):
-        if kind not in fitting:
-            fits = vertices
-            for size, count in needs[i]:
-                incident = through.get(size, {})
-                fits = [w for w in fits if len(incident.get(w, ())) >= count]
-            fitting[kind] = None if len(fits) == len(vertices) else frozenset(fits)
-    profile = [fitting[kind] for kind in kinds]
+    if profile is None:
+        # kind -> the vertices meeting that profile, or None when all do.
+        fitting = {}
+        for i, kind in enumerate(kinds):
+            if kind not in fitting:
+                fits = vertices
+                for size, count in needs[i]:
+                    incident = through.get(size, {})
+                    fits = [w for w in fits if len(incident.get(w, ())) >= count]
+                fitting[kind] = None if len(fits) == len(vertices) else frozenset(fits)
+        profile = [fitting[kind] for kind in kinds]
     # (size, *images) -> the vertices completing the images to a size-edge,
     # as (ascending tuple, set), filled as the search asks.
     table = {}

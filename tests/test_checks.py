@@ -67,6 +67,12 @@ TINY = CorpusBounds(
 )
 
 
+def _merge_two_cache_rows(lines, graphs):
+    # Two rows on one line, under a footer that counts the lines.
+    lines[2:4] = [lines[2] + "," + lines[3]]
+    lines[-1] = json.dumps({"graphs": len(lines) - 1})
+
+
 class TestCorpusGeneration:
     def test_tiny_bounds_give_the_six_known_classes(self):
         corpus = generate_corpus(TINY, use_cache=False)
@@ -176,12 +182,25 @@ class TestCorpusGeneration:
             assert len(generate_corpus(TINY).graphs) == 6
 
     @pytest.mark.parametrize("spoil", [
-        lambda data: data["vertices"].reverse(),
-        lambda data: data["edges"].reverse(),
-        lambda data: [row.update(id=i) for i, row in enumerate(data["edges"], 1)],
-        lambda data: data["edges"][0]["vertices"].append("v9"),
-    ], ids=["unsorted-vertices", "unsorted-edge-ids", "integer-ids", "unknown-member"])
-    def test_cache_line_out_of_normal_form_is_rebuilt(self, spoil, tmp_path, monkeypatch):
+        lambda row: row.__setitem__(0, -1),
+        lambda row: row.__setitem__(0, 3),
+        lambda row: row.__setitem__(0, 2.0),
+        lambda row: row.__setitem__(0, True),
+        lambda row: row.__setitem__(0, "2"),
+        lambda row: row[1].__setitem__(0, 0),
+        lambda row: row[1].__setitem__(0, 4),
+        lambda row: row[1].__setitem__(0, True),
+        lambda row: row[1].__setitem__(0, 1.0),
+        lambda row: row[1].__setitem__(0, "1"),
+        lambda row: row.append([]),
+    ], ids=[
+        "negative-count", "count-above-the-bounds", "float-count", "boolean-count",
+        "string-count", "zero-mask", "mask-past-the-vertices", "boolean-mask",
+        "float-mask", "string-mask", "three-items",
+    ])
+    def test_cache_row_out_of_range_is_rebuilt(self, spoil, tmp_path, monkeypatch):
+        # The spoiled row is a 2-vertex graph with two edges; at these bounds
+        # no graph has more than 2 vertices.
         monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
         bounds = CorpusBounds(2, 2, 2, 2, 0)
         graphs = generate_corpus(bounds).graphs
@@ -191,27 +210,105 @@ class TestCorpusGeneration:
         at = next(
             i for i, g in enumerate(graphs) if len(g.vertices) == 2 and len(g.edges) == 2
         )
-        data = json.loads(lines[at])
-        spoil(data)
-        lines[at] = json.dumps(data, sort_keys=True)
+        row = json.loads(lines[at])
+        assert row[0] == 2 and len(row[1]) == 2
+        spoil(row)
+        lines[at] = json.dumps(row)
         path.write_text("\n".join(lines) + "\n")
         assert checks._load_cached_graphs(bounds) is None
         assert generate_corpus(bounds).graphs == graphs
         assert path.read_text() == written
 
-    def test_cached_graphs_equal_their_json_on_the_default_corpus(
-        self, corpus, tmp_path, monkeypatch
-    ):
+    @pytest.mark.parametrize("rewrite", [
+        lambda lines, graphs: lines.__setitem__(
+            2, json.dumps(hypergraph_to_json(graphs[2]), sort_keys=True)
+        ),
+        _merge_two_cache_rows,
+    ], ids=["earlier-dict-form", "two-rows-on-one-line"])
+    def test_cache_line_not_one_row_is_rebuilt(self, rewrite, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+        graphs = generate_corpus(TINY).graphs
+        path = _cache_path(TINY)
+        written = path.read_text()
+        lines = written.splitlines()
+        rewrite(lines, graphs)
+        path.write_text("\n".join(lines) + "\n")
+        assert checks._load_cached_graphs(TINY) is None
+        assert generate_corpus(TINY).graphs == graphs
+        assert path.read_text() == written
+
+    @pytest.mark.parametrize("bounds", [
+        CorpusBounds(),
+        CorpusBounds(max_simple_vertices=7),
+        CorpusBounds(3, 3, 3, 3, 4),
+        CorpusBounds(10, 2, 2, 0, 0),
+    ], ids=repr)
+    def test_cached_graphs_equal_the_uncached_corpus(self, bounds, tmp_path, monkeypatch):
+        # Vertices, edge-id order ("e10" before "e2" past nine edges, and
+        # v01..v10 past nine vertices) and hashes all survive a round trip.
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
+
+        def layout(graphs):
+            return [(g.vertices, list(g.edges.items()), hash(g)) for g in graphs]
+
+        fresh = generate_corpus(bounds, use_cache=False).graphs
+        assert generate_corpus(bounds).graphs == fresh
+        assert layout(checks._load_cached_graphs(bounds)) == layout(fresh)
+        assert layout(generate_corpus(bounds).graphs) == layout(fresh)
+
+    def test_default_cache_file_is_compact(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
         checks._store_cached_graphs(corpus.bounds, corpus.graphs)
-        lines = _cache_path(corpus.bounds).read_text().splitlines()[:-1]
-        loaded = checks._load_cached_graphs(corpus.bounds)
-        assert loaded == list(corpus.graphs)
-        for graph, line in zip(loaded, lines):
-            again = hypergraph_from_json(json.loads(line))
-            assert (graph.vertices, graph.edges, hash(graph)) == (
-                again.vertices, again.edges, hash(again)
+        assert _cache_path(corpus.bounds).stat().st_size < 30_000
+
+    @pytest.mark.parametrize("graph", [
+        Hypergraph(["a", "b"], {"e1": ["a", "b"]}),
+        Hypergraph(["x"], {}),
+        Hypergraph(["v1", "v2"], {"x": ["v1", "v2"]}),
+        Hypergraph(["v1", "v2"], {"e1": ["v1"], "e3": ["v2"]}),
+        Hypergraph(["v1", "v2"], {"e1": []}),
+        Hypergraph(["v1", "v2"], {"e1": ["v1", "v3"]}),
+        Hypergraph(["v1", "v2", "v3"], {}),
+        Hypergraph._make(("v2", "v1"), {"e1": frozenset(["v1"])}),
+    ], ids=[
+        "foreign-names", "foreign-isolated-vertex", "foreign-edge-id", "gap-in-edge-ids",
+        "empty-edge", "member-not-a-vertex", "more-vertices-than-the-bounds",
+        "unsorted-vertices",
+    ])
+    def test_store_refuses_what_it_could_not_read_back(self, graph, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path / "cache"))
+        good = generate_corpus(TINY, use_cache=False).graphs
+        with pytest.raises(ValueError, match="cannot cache"):
+            checks._store_cached_graphs(TINY, [*good, graph])
+        assert not (tmp_path / "cache").exists()
+
+    def test_concurrent_cold_builds_leave_one_readable_file(self, tmp_path, monkeypatch):
+        cache, barrier = tmp_path / "cache", tmp_path / "barrier"
+        barrier.mkdir()
+        src = str(pathlib.Path(checks.__file__).parents[1])
+        env = dict(
+            os.environ,
+            HYPERCLUST_CACHE_DIR=str(cache),
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", CONCURRENT_BUILD, str(barrier), name],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
             )
+            for name in ("first", "second")
+        ]
+        outputs = [run.communicate(timeout=120) for run in runs]
+        assert [run.returncode for run in runs] == [0, 0], outputs
+        bounds = CorpusBounds(3, 3, 3, 3, 4)
+        fresh = generate_corpus(bounds, use_cache=False).graphs
+        assert [out for out, _ in outputs] == [f"{len(fresh)}\n"] * 2
+        monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(cache))
+        assert list(cache.iterdir()) == [_cache_path(bounds)]
+        loaded = checks._load_cached_graphs(bounds)
+        assert [(g.vertices, list(g.edges.items())) for g in loaded] == [
+            (g.vertices, list(g.edges.items())) for g in fresh
+        ]
 
     def test_stale_temp_name_does_not_block_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERCLUST_CACHE_DIR", str(tmp_path))
@@ -230,6 +327,20 @@ class TestCorpusGeneration:
         monkeypatch.setattr(os, "replace", fail)
         assert len(generate_corpus(TINY).graphs) == 6
         assert list(tmp_path.iterdir()) == []
+
+
+# Run twice at once by the concurrent-build test above: both processes wait
+# at a file barrier (argv[1]), then cold-build one corpus into one cache.
+CONCURRENT_BUILD = """
+import pathlib, sys, time
+from hyperclust.checks import CorpusBounds, generate_corpus
+barrier = pathlib.Path(sys.argv[1])
+(barrier / sys.argv[2]).touch()
+deadline = time.monotonic() + 30
+while len(list(barrier.iterdir())) < 2 and time.monotonic() < deadline:
+    time.sleep(0.001)
+print(len(generate_corpus(CorpusBounds(3, 3, 3, 3, 4)).graphs))
+"""
 
 
 # Run by the no-networkx test below in a fresh interpreter: a cold corpus

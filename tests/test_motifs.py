@@ -220,6 +220,25 @@ class TestStabilizerChain:
         assert transversal_product(simplex(6)) == 720
         assert transversal_product(cycle(6)) == 12
 
+    @pytest.mark.parametrize(
+        "motif, size",
+        [(cycle(6), 12), (path(30), 2), (simplex(5), 120), (linear_triangle(), 6)],
+        ids=["C_6", "P_30", "E_5", "D"],
+    )
+    def test_one_profile_build_per_chain(self, motif, size, monkeypatch):
+        # The chain's pinned searches into the motif share one profile list.
+        built = []
+
+        def counting(plan, graph):
+            built.append(graph)
+            return real(plan, graph)
+
+        real = motifs._profile
+        monkeypatch.setattr(motifs, "_profile", counting)
+        plan = motifs._build_plan.__wrapped__(motif)
+        assert built == [motif]
+        assert plan.group_size == size
+
     def test_plans_are_shared_per_motif(self):
         assert motifs._plan(complete_graph(4)) is motifs._plan(complete_graph(4))
 
