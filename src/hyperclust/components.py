@@ -1,15 +1,26 @@
 """Overlap percolation: the components of "shares at least k elements".
 
-``percolate`` is the one kernel.  It groups a family of sets into the
-components of the k-overlap relation without ever comparing two sets that
-share no element.  Unioning each component's member sets yields the overlap
-clustering; vertices on no edge end up in no part.  The named line graph,
-with one vertex per distinct edge vertex set, is built only for display.
+``percolate`` is the one kernel.  Two sets share at least k elements exactly
+when they share a k-subset, so it joins each set to the first earlier set
+that holds each of its k-subsets, and never compares two sets pairwise: the
+k-subset form of sequential clique percolation (Kumpula et al., Phys. Rev. E
+2008).  At k = 1 the k-subsets are the elements themselves.  A k-subset's key
+must not depend on the order a set is iterated in: it is the sorted tuple of
+its members when they are strings, which are totally ordered, and a
+frozenset otherwise.  A set with more k-subsets than counting could ever cost
+for it, C(|s|, k) > |s|·(n − 1) among n sets, sends the whole call to
+``_overlap_pairs``, which counts the earlier holders of each element.
+
+Unioning each component's member sets yields the overlap clustering;
+vertices on no edge end up in no part.  The named line graph, with one
+vertex per distinct edge vertex set, is built only for display, from
+``_overlap_pairs``.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 from .graphs import Hypergraph
 from .partitions import PartitionedSet
@@ -102,8 +113,19 @@ def _overlap_pairs(sets, k):
 
 def percolate(sets, k):
     """Components of the k-overlap relation on ``sets``, as lists of indices
-    into ``sets``.  Two sets are related when they share at least ``k``
-    elements; at threshold infinity every set is its own component.
+    into ``sets`` in ascending order, ordered by their smallest index.  Two
+    sets are related when they share at least ``k`` elements; at threshold
+    infinity every set is its own component.
+
+    Two sets share at least k elements exactly when they share a k-subset,
+    so each set is joined to the first earlier set that holds each of its
+    k-subsets; at k = 1 these are its elements.  A k-subset's key is the
+    sorted tuple of its members when they are strings, and a frozenset
+    otherwise, so no key depends on the order a set is iterated in.  When a
+    set has C(|s|, k) > |s|·(n − 1) k-subsets, more than counting the
+    earlier holders of its elements could ever cost, the call joins the
+    pairs :func:`_overlap_pairs` counts instead, keeping the joins made so
+    far.
 
     A union-find with path halving, written out inline: the checks call
     this thousands of times on a handful of sets each, where a call per
@@ -113,14 +135,36 @@ def percolate(sets, k):
     n = len(sets)
     if k == INFINITE or n < 2:
         return [[i] for i in range(n)]
-    if k == 1:
-        # Joining each set to the first holder of each of its elements
-        # connects exactly the sets that share an element.
-        first = {}
-        pairs = ((first.setdefault(x, i), i) for i, s in enumerate(sets) for x in s)
-    else:
-        pairs = _overlap_pairs(sets, k)
     parent = list(range(n))
+    first = {}
+    for i, s in enumerate(sets):
+        if k > 1:
+            size = len(s)
+            if size < k:
+                continue
+            # C(size, k) <= size for size <= k + 1, so only larger sets can
+            # tip the call over to counting.
+            if size > k + 1 and math.comb(size, k) > size * (n - 1):
+                pairs = _overlap_pairs(sets, k)
+                break
+            try:
+                s = sorted(s)
+                strings = type(s[0]) is str
+            except TypeError:
+                s, strings = list(s), False
+            s = combinations(s, k) if strings else map(frozenset, combinations(s, k))
+        # Set i is joined to nothing before its own turn, so ``root``, the
+        # root of its tree, needs no find.
+        root = i
+        for key in s:
+            j = first.setdefault(key, i)
+            if j != i:
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if j != root:
+                    parent[root] = root = j
+    else:
+        pairs = ()
     for j, i in pairs:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]

@@ -426,9 +426,10 @@ def _pinned(profile, pins):
     return profile
 
 
-def _representatives(motif, graph, budget=None):
+def _representatives(motif, graph, budget=None, first=False):
     """One embedding of ``motif`` into ``graph`` per coset f·Aut(motif), as
-    image tuples aligned with ``motif.vertices``, in search order.
+    image tuples aligned with ``motif.vertices``, in search order; only the
+    first one found when ``first``.
 
     Symmetry-breaking constraints ``image[i] < image[j]``, read off a
     stabilizer chain of Aut(motif), admit exactly one member of each coset.
@@ -447,7 +448,7 @@ def _representatives(motif, graph, budget=None):
     for size, count in plan.sizes:
         if have.count(size) < count:
             return []
-    found = _search(plan, graph, plan.lower, budget=budget)
+    found = _search(plan, graph, plan.lower, first=first, budget=budget)
     return [tuple([rep[p] for p in plan.slots]) for rep in found]
 
 
@@ -495,8 +496,17 @@ def _check_motifs(motifs):
     return cooked
 
 
+_ID_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", ":": "\\:"})
+
+
 def expansion_edge_id(index, mapping):
-    pairs = ",".join(f"{a}:{b}" for a, b in sorted(mapping.items()))
+    """``m{index}[a:b,...]`` over the sorted pairs of ``mapping``, with
+    ``\\``, ``,`` and ``:`` in vertex names escaped by a backslash, so
+    distinct maps never share an id.  Names without them print as they are.
+    """
+    pairs = ",".join(
+        f"{a.translate(_ID_ESCAPES)}:{b.translate(_ID_ESCAPES)}" for a, b in sorted(mapping.items())
+    )
     return f"m{index}[{pairs}]"
 
 
@@ -504,19 +514,15 @@ def motif_expansion(motifs, graph, budget=None):
     """The expansion of ``graph`` along ``motifs``: same vertices, one edge
     per embedding of each motif, covering the embedding's image.
 
-    Edge ids encode the motif index and the vertex map, so the output is
-    reproducible and each edge's provenance can be recovered from its id.
-    Vertex names containing ``,`` or ``:`` can give two embeddings the same
-    id; that raises ``ValueError`` rather than dropping an edge.
+    Edge ids encode the motif index and the vertex map (see
+    :func:`expansion_edge_id`), so the output is reproducible and each
+    edge's provenance can be recovered from its id.
     """
     cooked = _check_motifs(motifs)
     edges = {}
     for index, motif in enumerate(cooked):
         for emb in enumerate_embeddings(motif, graph, budget=budget):
-            eid = expansion_edge_id(index, emb.map)
-            if eid in edges:
-                raise ValueError(f"two embeddings are both named {eid}")
-            edges[eid] = emb.image(motif.vertices)
+            edges[expansion_edge_id(index, emb.map)] = emb.image(motif.vertices)
     return Hypergraph._make(graph.vertices, dict(sorted(edges.items())))
 
 

@@ -11,6 +11,7 @@ carries the three hand-written rules used to separate the scheme axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .components import (
     _line_graph_over,
@@ -94,7 +95,12 @@ def materialize_motifs(entries, graph):
 
     The one-edge family truncates to the largest edge size present (bigger
     members cannot embed, since an edge image needs a target edge of exactly
-    its size); the tailed-triangle family truncates by vertex count.
+    its size).  The tailed-triangle family stops before its first member
+    with no embedding into ``graph``, found by a first-hit search: R_{i-1}
+    is R_i minus the last vertex of its tail, so restricting an embedding of
+    R_i gives an embedding of R_{i-1}, and once R_i has none, no longer
+    member has one either.  Members with more vertices than the graph are
+    never built.
     """
     out = []
     for entry in entries:
@@ -102,8 +108,11 @@ def materialize_motifs(entries, graph):
             top = max((len(s) for s in graph.edges.values()), default=0)
             out.extend(simplex(n) for n in range(1, top + 1))
         elif entry == TAILED_TRIANGLE_FAMILY:
-            top = len(graph.vertices) - 3
-            out.extend(triangle_with_tail(i) for i in range(0, top + 1))
+            for i in range(len(graph.vertices) - 2):
+                motif = triangle_with_tail(i)
+                if not _representatives(motif, graph, first=True):
+                    break
+                out.append(motif)
         else:
             out.append(entry)
     return out
@@ -117,13 +126,18 @@ def _shared_edge_labels(motif, graph):
     # collected across all embeddings with that image.  One embedding per
     # coset f·Aut(motif) is enough: an automorphism a permutes the motif's
     # edge sets, so f and f∘a give the same image and the same label set.
-    names = motif.vertices
-    edges = motif.edge_sets()
+    # Each edge's images are read straight off the image tuple by its
+    # positions in motif.vertices; itemgetter of one position returns the
+    # item itself, so a one-vertex edge asks for its position twice.
+    slot = {v: i for i, v in enumerate(motif.vertices)}
+    getters = []
+    for s in motif.edge_sets():
+        at = [slot[v] for v in s]
+        getters.append(itemgetter(*at, *at) if len(at) == 1 else itemgetter(*at))
     labels = {}
     for image in _representatives(motif, graph):
-        at = dict(zip(names, image))
         bag = labels.setdefault(frozenset(image), set())
-        bag.update(frozenset(at[v] for v in s) for s in edges)
+        bag.update([frozenset(edge(image)) for edge in getters])
     return labels
 
 

@@ -275,6 +275,27 @@ def _bfs_unions(sets, joined):
     return parts
 
 
+def reference_percolate(sets, k):
+    """Components of the k-overlap relation on ``sets`` by a union-find over
+    every pair, as ``percolate`` returns them: lists of indices in
+    ascending order, ordered by their smallest index."""
+    parent = list(range(len(sets)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    if k != float("inf"):
+        for i, j in itertools.combinations(range(len(sets)), 2):
+            if len(set(sets[i]) & set(sets[j])) >= k:
+                parent[find(j)] = find(i)
+    groups = {}
+    for i in range(len(sets)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def naive_overlap_parts(family, k):
     """Union-of-component parts computed straight from the definition over
     the distinct sets of ``family``: a hypergraph's edge vertex sets, or any
@@ -459,16 +480,25 @@ _EDGE_ID = re.compile(r"^m(\d+)\[(.*)\]$")
 
 def expansion_provenance(edge_id):
     """Recover (motif index, vertex map) from an expansion edge id, as
-    ``motifs.expansion_edge_id`` prints it."""
+    ``motifs.expansion_edge_id`` prints it: a backslash escapes the next
+    character, and unescaped ``,`` and ``:`` separate pairs and names."""
     match = _EDGE_ID.match(edge_id)
     if not match:
         raise ValueError(f"not an expansion edge id: {edge_id}")
     mapping = {}
     body = match.group(2)
     if body:
-        for pair in body.split(","):
-            a, _, b = pair.partition(":")
-            mapping[a] = b
+        names, name, chars = [], [], iter(body)
+        for c in chars:
+            if c == "\\":
+                name.append(next(chars))
+            elif c in ",:":
+                names.append("".join(name))
+                name = []
+            else:
+                name.append(c)
+        names.append("".join(name))
+        mapping = dict(zip(names[::2], names[1::2]))
     return int(match.group(1)), mapping
 
 

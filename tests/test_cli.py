@@ -118,12 +118,13 @@ def name_clash_file(tmp_path):
 
 
 def id_clash_file(tmp_path):
-    # K_2 embeds as v1->p, v2->"q,v2:r" and as v1->"p,v2:q", v2->r; both
-    # expansion edge ids print as "m0[v1:p,v2:q,v2:r]".
+    # K_2 embeds as v1->"a,v2:b", v2->c and as v1->a, v2->"b,v2:c"; with
+    # names unescaped, both expansion edge ids would print as
+    # "m0[v1:a,v2:b,v2:c]".
     target = tmp_path / "id_clash.json"
     graph = Hypergraph(
-        ["p", "r", "p,v2:q", "q,v2:r"],
-        {"e1": ("p,v2:q", "r"), "e2": ("p", "q,v2:r")},
+        ["a,v2:b", "c", "a", "b,v2:c"],
+        {"e1": ("a,v2:b", "c"), "e2": ("a", "b,v2:c")},
     )
     target.write_text(json.dumps(hypergraph_to_json(graph)))
     return str(target)
@@ -290,13 +291,15 @@ class TestPhi:
         assert code == 2
         assert "family marker" in err
 
-    def test_colliding_edge_ids_are_refused(self, capsys, tmp_path):
-        code, out, err = run_cli(
+    def test_names_with_separators_get_distinct_edge_ids(self, capsys, tmp_path):
+        code, out, _ = run_cli(
             capsys, "phi", id_clash_file(tmp_path), "--motifs", "{K_2}"
         )
-        assert code == 2
-        assert out == ""
-        assert "m0[v1:p,v2:q,v2:r]" in err
+        assert code == 0
+        ids = [edge["id"] for edge in json.loads(out)["edges"]]
+        assert len(set(ids)) == 4
+        assert "m0[v1:a\\,v2\\:b,v2:c]" in ids
+        assert "m0[v1:a,v2:b\\,v2\\:c]" in ids
 
     def test_negative_budget_is_refused(self, capsys):
         out, err = refused_at_parse(

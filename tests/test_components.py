@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from hyperclust.graphs import (
     path,
     simplex,
 )
+from hyperclust import components
 from hyperclust.components import (
     INFINITE,
     _overlap_pairs,
@@ -46,6 +48,7 @@ SMALL_FAMILIES = [list(f) for n in range(5) for f in itertools.combinations(SUBS
 
 def assert_percolates_like_oracle(sets, k):
     comps = percolate(sets, k)
+    assert comps == oracles.reference_percolate(sets, k)
     assert sorted(i for comp in comps for i in comp) == list(range(len(sets)))
     unions = {frozenset().union(*(sets[i] for i in comp)) for comp in comps}
     assert unions == oracles.naive_overlap_parts(sets, k)
@@ -137,6 +140,50 @@ class TestPercolate:
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_oracle_when_sets_crowd(self, sets, k):
         assert_percolates_like_oracle(sets, k)
+
+    def test_matches_reference_on_every_corpus_graph(self, corpus):
+        for graph in corpus.graphs:
+            sets = list(graph.edge_sets())
+            for k in (1, 2, 3, 4, INFINITE):
+                assert percolate(sets, k) == oracles.reference_percolate(sets, k)
+                assert percolate(sets[::-1], k) == oracles.reference_percolate(sets[::-1], k)
+
+    def test_keys_do_not_depend_on_iteration_order(self):
+        # Two equal sets of pairwise incomparable frozensets that iterate in
+        # different orders: sorted() leaves such members in iteration order,
+        # so a sorted tuple would give one 2-subset two keys.
+        labels = [frozenset({i}) for i in range(64)]
+        a, b = next(
+            (a, b) for a, b in itertools.combinations(labels, 2)
+            if list(frozenset([a, b])) != list(frozenset([b, a]))
+        )
+        sets = [frozenset([a, b]), frozenset([b, a])]
+        assert percolate(sets, 2) == [[0, 1]]
+        # Members with no common order at all.
+        assert percolate([frozenset({"a", 1, 2}), frozenset({1, 2, "b"})], 2) == [[0, 1]]
+
+    def test_huge_k_subset_counts_fall_back_to_counting(self, monkeypatch):
+        # Three 40-element sets that share 25 elements: at k = 20 each holds
+        # C(40, 20) ~ 1.4e11 k-subsets, against 40 * 2 holder entries to count.
+        shared = [f"s{i:02d}" for i in range(25)]
+        sets = [frozenset(shared + [f"{c}{i:02d}" for i in range(15)]) for c in "xyz"]
+        assert math.comb(40, 20) > 10**11
+        enumerated = []
+
+        def bounded(items, r):
+            enumerated.append(math.comb(len(items), r))
+            assert enumerated[-1] <= 1000
+            return itertools.combinations(items, r)
+
+        monkeypatch.setattr(components, "combinations", bounded)
+        for family in (sets, [frozenset(shared[:20])] + sets):
+            for k in (20, 25, 26):
+                assert percolate(family, k) == oracles.reference_percolate(family, k)
+        assert percolate(sets, 20) == [[0, 1, 2]]
+        assert percolate(sets, 26) == [[0], [1], [2]]
+        # Only the 20-set at k = 20 was walked, for its one key, before the
+        # first 40-set sent the call to counting.
+        assert enumerated == [1]
 
 
 class TestComponents:

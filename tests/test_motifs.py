@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import re
 from unittest import mock
 
 import pytest
@@ -29,6 +28,7 @@ from hyperclust.motifs import (
     acyclic_orientation_profile,
     embedding_count_bound,
     enumerate_embeddings,
+    expansion_edge_id,
     expansion_edge_sets,
     is_spanned,
     motif_expansion,
@@ -589,14 +589,24 @@ class TestExpansion:
         with pytest.raises(ValueError):
             motif_expansion(["K2"], complete_graph(2))
 
-    def test_colliding_edge_ids_are_refused(self):
-        # v1->p, v2->"q,v2:r" and v1->"p,v2:q", v2->r print the same id.
-        g = Hypergraph(
-            ["p", "r", "p,v2:q", "q,v2:r"],
-            {"e1": ("p,v2:q", "r"), "e2": ("p", "q,v2:r")},
-        )
-        with pytest.raises(ValueError, match=re.escape("m0[v1:p,v2:q,v2:r]")):
-            motif_expansion([complete_graph(2)], g)
+    @pytest.mark.parametrize("names", [
+        ["a,v2:b", "c", "a", "b,v2:c"],
+        ["p", "r", "p,v2:q", "q,v2:r"],
+        ["a\\", "b", "a", "\\b"],
+    ])
+    def test_names_with_separators_get_distinct_ids(self, names):
+        # Unescaped, K_2's embeddings v1->x0, v2->x3 and v1->x2, v2->x1 of the
+        # first two graphs print the same id, such as m0[v1:a,v2:b,v2:c]; the
+        # third reads back only with its backslashes escaped.
+        g = Hypergraph(names, {"e1": (names[0], names[1]), "e2": (names[2], names[3])})
+        expanded = motif_expansion([complete_graph(2)], g)
+        assert len(expanded.edges) == 4
+        maps = sorted(sorted(expansion_provenance(eid)[1].items()) for eid in expanded.edges)
+        assert maps == sorted(sorted(emb.map.items()) for emb in enumerate_embeddings(complete_graph(2), g))
+
+    def test_plain_names_print_unescaped(self):
+        assert expansion_edge_id(2, {"v2": "b", "v1": "a"}) == "m2[v1:a,v2:b]"
+        assert expansion_edge_id(0, {"v1": "a,v2:b"}) == "m0[v1:a\\,v2\\:b]"
 
     def test_edge_sets_shortcut_agrees(self):
         motifs = [complete_graph(2), simplex(3)]

@@ -15,6 +15,7 @@ from hyperclust.graphs import (
     linear_triangle,
     path,
     simplex,
+    triangle_with_tail,
 )
 from hyperclust.components import INFINITE, overlap_components
 from hyperclust.motifs import expansion_edge_sets
@@ -71,6 +72,27 @@ class TestMotifScheme:
         got = materialize_motifs(("R*",), complete_graph(5))
         assert [len(m.vertices) for m in got] == [3, 4, 5]
         assert materialize_motifs(("R*",), complete_graph(2)) == []
+
+    def test_tailed_family_stops_at_its_first_member_with_no_embedding(self):
+        assert materialize_motifs(("R*",), path(12)) == []
+        assert materialize_motifs(("R*",), cycle(12)) == []
+        assert materialize_motifs(("R*",), cycle(3)) == [triangle_with_tail(0)]
+        # A triangle with a two-vertex tail and three isolated vertices.
+        g = Hypergraph(triangle_with_tail(2).vertices + ("x", "y", "z"), triangle_with_tail(2).edges)
+        assert materialize_motifs(("R*",), g) == [triangle_with_tail(i) for i in range(3)]
+
+    @pytest.mark.parametrize("g", [path(8), cycle(3), cycle(8), complete_graph(5)],
+                             ids=["P_8", "C_3", "C_8", "K_5"])
+    @pytest.mark.parametrize("k", [1, 2, INFINITE])
+    def test_truncated_tailed_family_clusters_like_the_full_family(self, g, k):
+        full = tuple(triangle_with_tail(i) for i in range(len(g.vertices) - 2))
+        assert cluster(MotifScheme(("R*",), k), g) == cluster(MotifScheme(full, k), g)
+
+    def test_truncated_tailed_family_on_every_corpus_graph(self, corpus):
+        for g in corpus.graphs:
+            full = tuple(triangle_with_tail(i) for i in range(len(g.vertices) - 2))
+            for k in (1, 2, INFINITE):
+                assert cluster(MotifScheme(("R*",), k), g) == cluster(MotifScheme(full, k), g)
 
     def test_concrete_motifs_pass_through(self):
         d = linear_triangle()
@@ -131,6 +153,8 @@ SHARED_EDGE_MOTIFS = {
     "K_3": complete_graph(3),
     "P_3": path(3),
     "P_3 doubled": Hypergraph("abc", {"e1": "ab", "e2": "ab", "e3": "bc"}),
+    # A one-vertex edge's label is a one-element set.
+    "P_3 with a loop": Hypergraph("abc", {"e1": "ab", "e2": "bc", "e3": "b"}),
 }
 
 
@@ -209,8 +233,12 @@ class TestSharedEdgeScheme:
         "g",
         [complete_graph(4), cycle(5), linear_triangle(), corner_glued_pair(linear_triangle()),
          edge_glued_chain(linear_triangle(), 2),
-         Hypergraph("abcde", {"p": "ab", "q": "ab", "r": "bc", "s": "ac", "t": "cde"})],
-        ids=["K_4", "C_5", "D", "corner", "F_2", "mixed"],
+         Hypergraph("abcde", {"p": "ab", "q": "ab", "r": "bc", "s": "ac", "t": "cde"}),
+         # Names longer than one character, so a name is not its own set.
+         Hypergraph(["v1", "v2", "v3", "v4"], {
+             "p": ("v1", "v2"), "q": ("v2", "v3"), "r": ("v3", "v4"), "s": ("v2",), "t": ("v3",)
+         })],
+        ids=["K_4", "C_5", "D", "corner", "F_2", "mixed", "loops"],
     )
     def test_labels_match_naive_oracle(self, motif, g):
         # Images reached by several cosets (P_3 in K_3 has three) must
