@@ -1,10 +1,12 @@
-"""Recorded `check` outputs, replayed in-process.
+"""Recorded CLI outputs, replayed in-process.
 
-``golden/check_outputs.json`` maps each command line below to the exit code
+``golden/cli_outputs.json`` maps each command line below to the exit code
 and the exact stdout it gave when it was recorded.  The README's `check`
 examples run at the default corpus bounds; the hull grid runs `hull` and
 `connected-hull` at k = 1, 2 and inf at small bounds, next to four failing
-sweeps.
+sweeps.  The commands built on overlap components follow: `linegraph`, with
+the DOT drawing it writes recorded as well, `cluster` under the classic and
+toy component rules, `search` and `witness`.
 
 Re-record only when a change to the output is intended, and say so:
 
@@ -25,7 +27,7 @@ from hyperclust.cli import main
 
 from test_cli import SMALL
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "check_outputs.json"
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_outputs.json"
 
 README_CHECKS = (
     ("check", "excisive", "--scheme", "representable:{E*},k=2"),
@@ -71,14 +73,34 @@ SWEEPS = (
      "--scheme2", "representable:{E*},k=2", "--limit", "0", *SMALL),
 )
 
-CASES = README_CHECKS + HULL_GRID + SWEEPS
+# A trailing --dot gets a file to write, whose contents are recorded too.
+COMPONENTS = (
+    ("linegraph", "P_3", "--k", "1", "--dot"),
+    ("linegraph", "H_6", "--k", "2", "--dot"),
+    ("linegraph", "corner", "--k", "inf"),
+    ("cluster", "P_3", "--scheme", "classic"),
+    ("cluster", "C_4", "--scheme", "classic"),
+    ("cluster", "K_1", "--scheme", "classic"),
+    ("cluster", "P_3", "--scheme", "toy:component_rule"),
+    ("search", "--max-vertices", "9"),
+    ("search", "--max-vertices", "4"),
+    ("witness", "--motifs", "{R_0,R_1,R_2}"),
+)
+
+CASES = README_CHECKS + HULL_GRID + SWEEPS + COMPONENTS
 
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return {"exit": code, "stdout": out.getvalue()}
+    if argv[-1] != "--dot":
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return {"exit": code, "stdout": out.getvalue()}
+    with tempfile.TemporaryDirectory() as scratch:
+        dot = pathlib.Path(scratch) / "line.dot"
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(dot)])
+        return {"exit": code, "stdout": out.getvalue(), "dot": dot.read_text()}
 
 
 def _key(argv):
