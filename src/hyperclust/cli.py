@@ -17,12 +17,7 @@ import random
 import sys
 import time
 
-from .components import (
-    connected_components,
-    line_graph,
-    parse_threshold,
-    threshold_to_json,
-)
+from .components import line_graph, parse_threshold, percolate, threshold_to_json
 from .graphs import (
     Hypergraph,
     SizeLimitError,
@@ -187,12 +182,13 @@ _DOT_COLORS = (
 )
 
 
-def _line_graph_dot(line):
-    comps = connected_components(line.graph)
+def _line_graph_dot(line, k):
+    # One colour per component, in the name order of each one's first vertex.
+    names = line.graph.vertices
     color_of = {}
-    for index, comp in enumerate(comps.sorted_parts()):
-        for name in comp:
-            color_of[name] = _DOT_COLORS[index % len(_DOT_COLORS)]
+    for index, comp in enumerate(percolate([line.members[n] for n in names], k)):
+        for i in comp:
+            color_of[names[i]] = _DOT_COLORS[index % len(_DOT_COLORS)]
     lines = ["graph linegraph {"]
     for name in line.graph.vertices:
         lines.append(
@@ -217,7 +213,7 @@ def run_linegraph(args):
         },
     }
     if args.dot:
-        _emit(_line_graph_dot(line), args.dot)
+        _emit(_line_graph_dot(line, k), args.dot)
     _emit_json(data, args.out)
     return 0
 

@@ -1,20 +1,22 @@
 """Overlap percolation: the components of "shares at least k elements".
 
-``percolate`` is the one kernel.  Two sets share at least k elements exactly
-when they share a k-subset, so it joins each set to the first earlier set
-that holds each of its k-subsets, and never compares two sets pairwise: the
-k-subset form of sequential clique percolation (Kumpula et al., Phys. Rev. E
-2008).  At k = 1 the k-subsets are the elements themselves.  A k-subset's key
-must not depend on the order a set is iterated in: it is the sorted tuple of
-its members when they are strings, which are totally ordered, and a
-frozenset otherwise.  A set with more k-subsets than counting could ever cost
-for it, C(|s|, k) > |s|·(n − 1) among n sets, sends the whole call to
-``_overlap_pairs``, which counts the earlier holders of each element.
+``percolate`` is the one kernel, and every overlap component in the package
+comes from it, directly or through ``component_member_unions``.  Two sets
+share at least k elements exactly when they share a k-subset, so it joins
+each set to the first earlier set that holds each of its k-subsets, and
+never compares two sets pairwise: the k-subset form of sequential clique
+percolation (Kumpula et al., Phys. Rev. E 2008).  At k = 1 the k-subsets are
+the elements themselves.  A k-subset's key must not depend on the order a
+set is iterated in: it is the sorted tuple of its members when they are
+strings, which are totally ordered, and a frozenset otherwise.  A set with
+more k-subsets than counting could ever cost for it, C(|s|, k) > |s|·(n − 1)
+among n sets, sends the whole call to ``_overlap_pairs``, which counts the
+earlier holders of each element.
 
 Unioning each component's member sets yields the overlap clustering;
-vertices on no edge end up in no part.  The named line graph, with one
-vertex per distinct edge vertex set, is built only for display, from
-``_overlap_pairs``.
+vertices on no edge end up in no part.  The line graph, with one vertex per
+distinct edge vertex set named by ``set_name``, is built only for display,
+from ``_overlap_pairs``.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .graphs import Hypergraph
-from .partitions import PartitionedSet
+from .graphs import Hypergraph, name_escapes
 
 INFINITE = math.inf
+_NAME_ESCAPES = name_escapes(",")
 
 
 def check_threshold(k):
@@ -57,8 +59,10 @@ def threshold_to_json(k):
 
 
 def set_name(members):
-    """Canonical line-graph vertex name for a vertex set: "{a,b,c}"."""
-    return "{" + ",".join(sorted(members)) + "}"
+    """Canonical line-graph vertex name for a vertex set: "{a,b,c}", with
+    ``\\`` and ``,`` in member names escaped by a backslash, so distinct
+    sets never share a name."""
+    return "{" + ",".join(m.translate(_NAME_ESCAPES) for m in sorted(members)) + "}"
 
 
 class LineGraph:
@@ -201,16 +205,13 @@ def has_full_part(vertices, parts):
 def _line_graph_over(sets, min_overlap, labels=None):
     # The line graph with set_name vertices; overlap on ``labels`` when given.
     k = check_threshold(min_overlap)
-    members = {}
-    for s in sets:
-        if members.setdefault(set_name(s), s) != s:
-            raise ValueError(f"two distinct vertex sets are both named {set_name(s)}")
+    members = {set_name(s): s for s in sets}
     names = sorted(members)
     compared = [members[n] if labels is None else labels[members[n]] for n in names]
     edges = {}
     if k != INFINITE:
         for j, i in _overlap_pairs(compared, k):
-            edges[f"{names[j]}~{names[i]}"] = frozenset((names[j], names[i]))
+            edges[f"{j}~{i}"] = frozenset((names[j], names[i]))
     named_labels = None if labels is None else dict(zip(names, map(frozenset, compared)))
     return LineGraph(Hypergraph(names, edges), members, named_labels)
 
@@ -223,38 +224,3 @@ def line_graph(graph, min_overlap):
     classical line graph.
     """
     return _line_graph_over(graph.edge_sets(), min_overlap)
-
-
-def vertex_components(vertices, sets):
-    """Components of ``vertices`` joined through ``sets``; a vertex on no set
-    is a singleton component."""
-    singletons = [frozenset((v,)) for v in vertices]
-    return component_member_unions(list(sets) + singletons, 1)
-
-
-def connected_components(graph):
-    """Components of a simple graph as a partitioned set; isolated vertices
-    become singleton parts, so every vertex lands in exactly one part."""
-    if not graph.is_simple():
-        raise ValueError("connected_components requires a simple graph")
-    return PartitionedSet(graph.vertices, vertex_components(graph.vertices, graph.edges.values()))
-
-
-def overlap_components(graph, min_overlap):
-    """The overlap clustering of a hypergraph: one part per component of the
-    line graph at the given threshold, each part the union of its component's
-    edge sets.  Underlying set is the full vertex set; vertices on no edge
-    appear in no part."""
-    return PartitionedSet(graph.vertices, component_member_unions(graph.edge_sets(), min_overlap))
-
-
-def is_overlap_connected(graph, min_overlap):
-    """Whether the overlap clustering has a part equal to the whole vertex
-    set.  False for the empty graph, which has no parts at all."""
-    return has_full_part(graph.vertices, overlap_components(graph, min_overlap).parts)
-
-
-def edge_set_parts(graph):
-    """The limiting clustering at threshold infinity, spelled directly: one
-    part per distinct edge vertex set."""
-    return PartitionedSet(graph.vertices, graph.edge_sets())

@@ -212,6 +212,13 @@ def hypergraph_from_json(data):
     return Hypergraph(vertices, edges)
 
 
+def name_escapes(separators):
+    """A ``str.translate`` table that puts a backslash before ``\\`` and each
+    of ``separators`` in a vertex name, so that names joined by those
+    separators split back apart in only one way."""
+    return str.maketrans({c: "\\" + c for c in "\\" + separators})
+
+
 class GraphMorphism:
     """An injective vertex map under which every source edge's image equals
     some target edge's vertex set.

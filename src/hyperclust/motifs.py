@@ -14,7 +14,7 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 
-from .graphs import GraphMorphism, Hypergraph, SizeLimitError, independence_number
+from .graphs import GraphMorphism, Hypergraph, SizeLimitError, independence_number, name_escapes
 
 
 class BudgetExceededError(Exception):
@@ -496,7 +496,7 @@ def _check_motifs(motifs):
     return cooked
 
 
-_ID_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", ":": "\\:"})
+_ID_ESCAPES = name_escapes(",:")
 
 
 def expansion_edge_id(index, mapping):
@@ -561,11 +561,6 @@ def expansion_edge_sets(motifs, graph, budget=None):
     if sizes:
         sets.update(s for s in graph.edge_sets() if len(s) in sizes)
     return frozenset(sets)
-
-
-def is_spanned(graph):
-    """Whether some edge covers every vertex."""
-    return frozenset(graph.vertices) in graph.edge_sets()
 
 
 def acyclic_orientation_profile(graph, bound=20):

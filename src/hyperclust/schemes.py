@@ -17,11 +17,9 @@ from .components import (
     _line_graph_over,
     check_threshold,
     component_member_unions,
-    connected_components,
     has_full_part,
     parse_threshold,
     threshold_to_json,
-    vertex_components,
 )
 from .graphs import (
     Hypergraph,
@@ -226,7 +224,7 @@ def _pair_components(graph):
     # Connectivity through 2-vertex edges only; smaller edges keep their
     # vertices in place but do not join anything.
     pairs = [s for s in graph.edges.values() if len(s) == 2]
-    return vertex_components(graph.vertices, pairs)
+    return component_member_unions(pairs + [frozenset((v,)) for v in graph.vertices], 1)
 
 
 def _is_pair_like(graph):
@@ -312,10 +310,8 @@ def cluster(scheme, graph, expand=None):
     if isinstance(scheme, ComponentScheme):
         if not graph.is_simple():
             raise ValueError("the component scheme requires a simple graph")
-        comps = connected_components(graph)
-        return PartitionedSet._make(
-            graph.vertices, frozenset(p for p in comps.parts if len(p) >= 2)
-        )
+        parts = component_member_unions(graph.edge_sets(), 1)
+        return PartitionedSet._make(graph.vertices, frozenset(parts))
     if isinstance(scheme, ToyScheme):
         return toy_cluster(scheme.rule, graph)
     raise ValueError(f"not a scheme: {scheme!r}")

@@ -25,13 +25,7 @@ from hyperclust.checks import (
     validate_equal_parts_witness,
 )
 from hyperclust.cli import main
-from hyperclust.components import (
-    INFINITE,
-    edge_set_parts,
-    is_overlap_connected,
-    overlap_components,
-    set_name,
-)
+from hyperclust.components import INFINITE, has_full_part
 from hyperclust.graphs import (
     Hypergraph,
     complete_graph,
@@ -50,7 +44,6 @@ from hyperclust.graphs import (
 from hyperclust.motifs import (
     embedding_count_bound,
     enumerate_embeddings,
-    expansion_edge_sets,
 )
 from hyperclust.partitions import (
     PartitionMorphism,
@@ -101,8 +94,8 @@ def test_01_overlap_clustering_of_the_morphism_example():
     with criterion(1, "overlapping parts and the surprising morphism"):
         g, h = overlap_morphism_example()
         full = frozenset(g.vertices)
-        g_parts = overlap_components(g, 2)
-        h_parts = overlap_components(h, 2)
+        g_parts = cluster(MotifScheme(("E*",), 2), g)
+        h_parts = cluster(MotifScheme(("E*",), 2), h)
         assert g_parts.parts == frozenset(
             {full, frozenset({"v3", "v4", "v5", "v6", "v7"})}
         )
@@ -120,7 +113,8 @@ def test_02_limit_threshold_equals_edge_set_parts(corpus):
     vertex sets, on every corpus hypergraph."""
     with criterion(2, "limit threshold keeps edge sets apart"):
         for graph in corpus.graphs:
-            assert overlap_components(graph, INFINITE) == edge_set_parts(graph)
+            parts = cluster(MotifScheme(("E*",), INFINITE), graph)
+            assert parts == PartitionedSet(graph.vertices, graph.edge_sets())
 
 
 def test_03_threshold_one_collapse(corpus):
@@ -128,10 +122,11 @@ def test_03_threshold_one_collapse(corpus):
     connected components minus isolated singletons."""
     with criterion(3, "threshold-1 collapse to classic components"):
         classic = ComponentScheme()
+        at_one = MotifScheme(("E*",), 1)
         for graph in corpus.graphs:
-            assert is_non_overlapping(overlap_components(graph, 1))
+            assert is_non_overlapping(cluster(at_one, graph))
         for graph in filter(Hypergraph.is_simple, corpus.graphs):
-            assert overlap_components(graph, 1) == cluster(classic, graph)
+            assert cluster(at_one, graph) == cluster(classic, graph)
 
 
 def test_04_grid_of_excisive_and_functorial_checks(corpus):
@@ -208,17 +203,10 @@ def test_06_no_finite_motif_set_reconnects_every_tail():
             assert result.radius == m
             assert result.ok
             witness = result.witness
-            blocked = Hypergraph(
-                witness.vertices,
-                {set_name(s): s for s in expansion_edge_sets(motifs, witness)},
-            )
-            assert not is_overlap_connected(blocked, 1)
-            alone = Hypergraph(
-                witness.vertices,
-                {set_name(s): s
-                 for s in expansion_edge_sets([witness], witness)},
-            )
-            assert is_overlap_connected(alone, 1)
+            blocked = cluster(MotifScheme(tuple(motifs), 1), witness)
+            assert not has_full_part(witness.vertices, blocked.parts)
+            alone = cluster(MotifScheme((witness,), 1), witness)
+            assert has_full_part(witness.vertices, alone.parts)
 
 
 def test_07_shared_edge_scheme_separates_corner_gluing(corpus):

@@ -110,9 +110,21 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 def name_clash_file(tmp_path):
-    # {"a,b", "c"} and {"a", "b", "c"} both print as the set name "{a,b,c}".
+    # {"a,b", "c"} and {"a", "b", "c"} would both print as "{a,b,c}" if the
+    # comma in a member name were not escaped.
     target = tmp_path / "clash.json"
     graph = Hypergraph(["a", "b", "c", "a,b"], {"e1": ("a,b", "c"), "e2": "abc"})
+    target.write_text(json.dumps(hypergraph_to_json(graph)))
+    return str(target)
+
+
+def short_clash_file(tmp_path):
+    # {a,b} and {"a,b"} would both print as "{a,b}" unescaped, and the whole
+    # vertex set as "{a,a,b,b,c}".
+    target = tmp_path / "short_clash.json"
+    graph = Hypergraph(
+        ["a", "b", "a,b", "c"], {"e1": "ab", "e2": ("a,b", "c"), "e3": ("a,b",)}
+    )
     target.write_text(json.dumps(hypergraph_to_json(graph)))
     return str(target)
 
@@ -333,13 +345,24 @@ class TestLinegraph:
         assert data["k"] == "inf"
         assert data["edges"] == []
 
-    def test_ambiguous_set_names_are_refused(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "linegraph", name_clash_file(tmp_path), "--k", "1"
+    def test_names_with_separators_get_distinct_vertices(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "linegraph", short_clash_file(tmp_path), "--k", "1"
         )
-        assert code == 2
-        assert out == ""
-        assert "{a,b,c}" in err
+        assert code == 0
+        data = json.loads(out)
+        assert data["vertices"] == ["{a,b}", "{a\\,b,c}", "{a\\,b}"]
+        assert data["members"] == {
+            "{a,b}": ["a", "b"],
+            "{a\\,b,c}": ["a,b", "c"],
+            "{a\\,b}": ["a,b"],
+        }
+        assert data["edges"] == [["{a\\,b,c}", "{a\\,b}"]]
+        code, out, _ = run_cli(
+            capsys, "linegraph", name_clash_file(tmp_path), "--k", "inf"
+        )
+        assert code == 0
+        assert json.loads(out)["vertices"] == ["{a,b,c}", "{a\\,b,c}"]
 
     def test_dot_export_colors_components(self, capsys, tmp_path):
         dot_path = tmp_path / "line.dot"
@@ -544,6 +567,15 @@ class TestCheck:
         data = json.loads(out)
         assert data["check"] == "hull"
         assert data["statistics"]["spanned"] is False
+
+    def test_hull_prints_separators_in_set_names_escaped(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "check", "hull",
+            "--motifs", "{K_2}", "--graph", short_clash_file(tmp_path), *SMALL,
+        )
+        assert code == 0
+        witness = json.loads(out)["statistics"]["difference_witness"]
+        assert witness["gained_edge_sets"] == ["{a,a\\,b,b,c}"]
 
     def test_hull_with_k_dispatches_to_connected_variant(self, capsys):
         code, out, _ = run_cli(

@@ -18,24 +18,24 @@ from hyperclust.components import (
     INFINITE,
     _overlap_pairs,
     check_threshold,
-    connected_components,
-    edge_set_parts,
-    is_overlap_connected,
+    has_full_part,
     line_graph,
-    overlap_components,
     parse_threshold,
     percolate,
     set_name,
     threshold_to_json,
 )
 from hyperclust.partitions import PartitionedSet, is_non_overlapping
+from hyperclust.schemes import MotifScheme, cluster
 
 import oracles
-from test_graphs import COMMA_NAMES, hypergraphs, simple_graphs
+from test_graphs import COMMA_NAMES, hypergraphs
 
 thresholds = st.sampled_from([1, 2, 3, INFINITE])
-# Distinct edges that set_name maps to the same "{a,b,c}".
+# Distinct edges whose members, joined by bare commas, both read "{a,b,c}".
 NAME_CLASH = Hypergraph(["a", "b", "c", "a,b"], {"e1": ("a,b", "c"), "e2": "abc"})
+# Names built from a separator, an escape and a plain letter.
+SEPARATOR_NAMES = ["a", "b", ",", "a,b", "\\", "a\\", "\\,", ",\\"]
 set_families = st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=5), max_size=8)
 # Many sets over few elements, so most pairs share one or more of them.
 crowded_families = st.lists(
@@ -44,6 +44,15 @@ crowded_families = st.lists(
 # Every family of at most four distinct nonempty subsets of a 4-element set.
 SUBSETS = [frozenset(c) for n in range(1, 5) for c in itertools.combinations("abcd", n)]
 SMALL_FAMILIES = [list(f) for n in range(5) for f in itertools.combinations(SUBSETS, n)]
+
+
+def overlap_clustering(g, k):
+    """The plain overlap clustering: the graph's own edge sets, percolated."""
+    return cluster(MotifScheme(("E*",), k), g)
+
+
+def overlap_connected(g, k):
+    return has_full_part(g.vertices, overlap_clustering(g, k).parts)
 
 
 def assert_percolates_like_oracle(sets, k):
@@ -116,6 +125,37 @@ class TestLineGraph:
         assert len(line.graph.vertices) == 2
         assert len(line.graph.edges) == 1
 
+    def test_every_overlapping_pair_gets_its_own_edge(self):
+        # Four sets that all share p.  Joined by "~", the names of the pairs
+        # ({p,q}, {p,r}~{p,s}) and ({p,q}~{p,r}, {p,s}) read the same.
+        g = Hypergraph(
+            ["p", "q", "q}~{p", "r", "r}~{p", "s"],
+            {"e1": "pq", "e2": ("p", "q}~{p", "r"), "e3": ("p", "r}~{p", "s"), "e4": "ps"},
+        )
+        line = line_graph(g, 1)
+        assert line.graph.vertices == ("{p,q}", "{p,q}~{p,r}", "{p,r}~{p,s}", "{p,s}")
+        pairs = set(line.graph.edges.values())
+        assert pairs == set(map(frozenset, itertools.combinations(line.graph.vertices, 2)))
+
+
+class TestFullPart:
+    def test_spanned(self):
+        for g, spanned in ((simplex(3), True), (path(3), False), (Hypergraph("ab"), False)):
+            assert has_full_part(g.vertices, g.edge_sets()) is spanned
+
+
+class TestSetName:
+    def test_separators_are_escaped(self):
+        assert set_name({"a,b", "c"}) == "{a\\,b,c}"
+        assert set_name({"a\\", "b"}) == "{a\\\\,b}"
+
+    @given(st.lists(st.frozensets(st.sampled_from(SEPARATOR_NAMES)), max_size=12))
+    @example([frozenset({"a,b"}), frozenset("ab")])
+    @example([frozenset({"a\\", ",b"}), frozenset({"a\\,", "b"})])
+    def test_distinct_sets_get_distinct_names(self, family):
+        names = {set_name(s): s for s in family}
+        assert len(names) == len(set(family))
+
 
 class TestPercolate:
     def test_threshold_picks_the_relation(self):
@@ -186,22 +226,6 @@ class TestPercolate:
         assert enumerated == [1]
 
 
-class TestComponents:
-    def test_isolated_vertices_are_singletons(self):
-        g = Hypergraph("abc", {"e1": "ab"})
-        comps = connected_components(g)
-        assert comps.parts == frozenset({frozenset("ab"), frozenset("c")})
-
-    def test_simple_only(self):
-        with pytest.raises(ValueError):
-            connected_components(simplex(3))
-
-    @given(simple_graphs())
-    @settings(max_examples=60)
-    def test_matches_networkx(self, g):
-        assert connected_components(g).parts == oracles.nx_component_sets(g)
-
-
 class TestOverlapComponents:
     def test_worked_figure_example(self):
         # four edges: three triangles sharing the pair {v1,v2}, plus {a,b,c};
@@ -216,7 +240,7 @@ class TestOverlapComponents:
                 "e4": ("a", "b", "c"),
             },
         )
-        at2 = overlap_components(g, 2)
+        at2 = overlap_clustering(g, 2)
         assert at2.parts == frozenset(
             {
                 frozenset({"v1", "v2", "a", "b", "c"}),
@@ -224,61 +248,61 @@ class TestOverlapComponents:
             }
         )
         assert not is_non_overlapping(at2)
-        at1 = overlap_components(g, 1)
+        at1 = overlap_clustering(g, 1)
         assert at1.parts == frozenset({frozenset({"v1", "v2", "a", "b", "c"})})
 
     def test_uncovered_vertices_join_no_part(self):
         g = Hypergraph("abc", {"e1": "ab"})
-        parts = overlap_components(g, 1)
+        parts = overlap_clustering(g, 1)
         assert parts.elements == ("a", "b", "c")
         assert parts.parts == frozenset({frozenset("ab")})
 
     def test_edgeless_graph_has_no_parts(self):
-        assert overlap_components(Hypergraph("ab"), 1).parts == frozenset()
+        assert overlap_clustering(Hypergraph("ab"), 1).parts == frozenset()
 
     @given(hypergraphs(pool=COMMA_NAMES), thresholds)
     @example(NAME_CLASH, 1)
     @example(NAME_CLASH, INFINITE)
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_oracle(self, g, k):
-        assert overlap_components(g, k).parts == oracles.naive_overlap_parts(g, k)
+        assert overlap_clustering(g, k).parts == oracles.naive_overlap_parts(g, k)
 
     @given(hypergraphs(), thresholds)
     @settings(max_examples=60, deadline=None)
     def test_parts_are_unions_of_edge_sets(self, g, k):
         sets = g.edge_sets()
-        for part in overlap_components(g, k).parts:
+        for part in overlap_clustering(g, k).parts:
             covered = frozenset().union(*(s for s in sets if s <= part)) if sets else frozenset()
             assert covered == part
 
     @given(hypergraphs())
     @settings(max_examples=60, deadline=None)
     def test_threshold_one_is_non_overlapping(self, g):
-        assert is_non_overlapping(overlap_components(g, 1))
+        assert is_non_overlapping(overlap_clustering(g, 1))
 
     @given(hypergraphs(pool=COMMA_NAMES))
     @example(NAME_CLASH)
     @settings(max_examples=60, deadline=None)
     def test_infinite_threshold_is_edge_set_parts(self, g):
-        assert overlap_components(g, INFINITE) == edge_set_parts(g)
+        assert overlap_clustering(g, INFINITE) == PartitionedSet(g.vertices, g.edge_sets())
 
 
 class TestOverlapConnected:
     def test_spanning_edge_connects_at_any_threshold(self):
-        assert is_overlap_connected(simplex(4), 3)
-        assert is_overlap_connected(simplex(4), INFINITE)
+        assert overlap_connected(simplex(4), 3)
+        assert overlap_connected(simplex(4), INFINITE)
 
     def test_triangle_is_2_connected_but_not_3(self):
-        assert is_overlap_connected(complete_graph(3), 1)
-        assert not is_overlap_connected(complete_graph(3), 2)
+        assert overlap_connected(complete_graph(3), 1)
+        assert not overlap_connected(complete_graph(3), 2)
 
     def test_thresholds_on_a_cycle(self):
-        assert is_overlap_connected(cycle(4), 1)
-        assert not is_overlap_connected(cycle(4), 2)
+        assert overlap_connected(cycle(4), 1)
+        assert not overlap_connected(cycle(4), 2)
 
     def test_empty_and_edgeless(self):
-        assert not is_overlap_connected(Hypergraph([]), 1)
-        assert not is_overlap_connected(Hypergraph("ab"), 1)
+        assert not overlap_connected(Hypergraph([]), 1)
+        assert not overlap_connected(Hypergraph("ab"), 1)
 
     def test_disjoint_union_disconnects(self):
-        assert not is_overlap_connected(disjoint_union(simplex(2), simplex(2)), 1)
+        assert not overlap_connected(disjoint_union(simplex(2), simplex(2)), 1)

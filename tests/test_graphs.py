@@ -48,7 +48,8 @@ from oracles import relabel
 
 
 # Opt-in vertex names, all used, containing the separator of set_name: the
-# distinct sets {"a,b", "c"} and {"a", "b", "c"} get the same name.
+# distinct sets {"a,b", "c"} and {"a", "b", "c"} would read the same joined
+# by bare commas.
 COMMA_NAMES = ("a", "b", "c", "a,b")
 
 

@@ -30,7 +30,6 @@ from hyperclust.motifs import (
     enumerate_embeddings,
     expansion_edge_id,
     expansion_edge_sets,
-    is_spanned,
     motif_expansion,
 )
 from hyperclust.schemes import MotifScheme, SharedEdgeScheme, cluster
@@ -648,13 +647,6 @@ class TestExpansion:
         g = Hypergraph("abcd", {"e1": "ab", "e2": "ab", "e3": "bcd"})
         motifs = [simplex(2), simplex(3)]
         assert expansion_edge_sets(motifs, g) == g.edge_sets()
-
-
-class TestSpanned:
-    def test_spanned(self):
-        assert is_spanned(simplex(3))
-        assert not is_spanned(path(3))
-        assert not is_spanned(Hypergraph("ab"))
 
 
 class TestOrientationProfile:

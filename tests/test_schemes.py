@@ -17,8 +17,7 @@ from hyperclust.graphs import (
     simplex,
     triangle_with_tail,
 )
-from hyperclust.components import INFINITE, overlap_components
-from hyperclust.motifs import expansion_edge_sets
+from hyperclust.components import INFINITE, has_full_part
 from hyperclust.partitions import PartitionedSet
 from hyperclust.schemes import (
     ComponentScheme,
@@ -103,7 +102,9 @@ class TestRepresentableCluster:
     @given(hypergraphs(), thresholds)
     @settings(max_examples=60, deadline=None)
     def test_spanning_family_recovers_plain_overlap_clustering(self, g, k):
-        assert cluster(MotifScheme(("E*",), k), g) == overlap_components(g, k)
+        parts = cluster(MotifScheme(("E*",), k), g)
+        assert parts.elements == g.vertices
+        assert parts.parts == oracles.naive_overlap_parts(g, k)
 
     @given(simple_graphs())
     @settings(max_examples=60, deadline=None)
@@ -191,14 +192,9 @@ class TestSharedEdgeScheme:
         assert parts.elements == simplex(3).vertices
 
     def test_motif_expansion_of_corner_pair_is_tightly_connected(self):
-        from hyperclust.components import is_overlap_connected
-        from hyperclust.components import set_name
-
         d = linear_triangle()
         corner = corner_glued_pair(d)
-        sets = expansion_edge_sets([d], corner)
-        expanded = Hypergraph(corner.vertices, {set_name(s): s for s in sets})
-        assert is_overlap_connected(expanded, 3)
+        assert has_full_part(corner.vertices, cluster(MotifScheme((d,), 3), corner).parts)
 
     def test_validation_accepts_default_motif(self):
         assert validate_shared_edge_motif(linear_triangle()).ok
@@ -262,7 +258,13 @@ class TestComponentScheme:
     @given(simple_graphs())
     @settings(max_examples=40)
     def test_matches_overlap_clustering_at_one(self, g):
-        assert cluster(ComponentScheme(), g) == overlap_components(g, 1)
+        assert cluster(ComponentScheme(), g) == cluster(MotifScheme(("E*",), 1), g)
+
+    @given(simple_graphs())
+    @settings(max_examples=60)
+    def test_matches_networkx(self, g):
+        parts = cluster(ComponentScheme(), g).parts
+        assert parts == {c for c in oracles.nx_component_sets(g) if len(c) >= 2}
 
 
 class TestToys:
