@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The README's command-line examples, each with its documented exit code.
 # Run it from a scratch directory, with `hyperclust` on PATH: it writes
-# line.dot and comma-names.json into the current directory.
+# line.dot, comma-names.json, bad-scheme.json and bad-scheme.err into the
+# current directory.
 #
 #     bash scripts/readme-commands.sh
 set -euo pipefail
@@ -35,3 +36,17 @@ cat > comma-names.json <<'JSON'
            {"id": "e3", "vertices": ["a,b"]}]}
 JSON
 hyperclust linegraph comma-names.json --k 1
+
+# A scheme file whose inline motif has an empty edge is refused as input
+# (exit 2, one `error:` line), not run.
+cat > bad-scheme.json <<'JSON'
+{"kind": "sigma",
+ "motif": {"vertices": ["a", "b", "c"],
+           "edges": [{"id": "e1", "vertices": []},
+                     {"id": "e2", "vertices": ["a", "b"]},
+                     {"id": "e3", "vertices": ["b", "c"]}]}}
+JSON
+status=0
+hyperclust cluster K_3 --scheme @bad-scheme.json 2> bad-scheme.err || status=$?
+test "$status" -eq 2
+head -n 1 bad-scheme.err | grep -q '^error:'

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import pathlib
-import random
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
@@ -401,7 +400,7 @@ def _contains_isomorph(graphs, graph):
     return any(iso_check(member, graph)[0] for member in graphs)
 
 
-def generate_corpus(bounds=None, use_cache=True, guard=DEFAULT_GUARD):
+def generate_corpus(bounds=None, use_cache=True):
     """Build the exhaustive corpus for the given bounds.
 
     Deduplicated graphs are cached on disk keyed by the bounds and the
@@ -410,10 +409,10 @@ def generate_corpus(bounds=None, use_cache=True, guard=DEFAULT_GUARD):
     """
     bounds = bounds or CorpusBounds()
     estimate = estimate_candidates(bounds)
-    if estimate > guard:
+    if estimate > DEFAULT_GUARD:
         raise SizeLimitError(
             f"corpus bounds would enumerate about {estimate} labelled "
-            f"candidates, over the guard of {guard}"
+            f"candidates, over the guard of {DEFAULT_GUARD}"
         )
     graphs = _load_cached_graphs(bounds) if use_cache else None
     if graphs is None:
@@ -815,38 +814,23 @@ class SearchBounds:
 class EqualPartsResult:
     """Outcome of the search for two components that both cover everything."""
 
-    __slots__ = ("witness", "transcript", "exhaustive", "bounds", "trials")
+    __slots__ = ("witness", "transcript", "exhaustive", "bounds")
 
-    def __init__(self, witness, transcript, exhaustive, bounds, trials):
+    def __init__(self, witness, transcript, exhaustive, bounds):
         self.witness = witness
         self.transcript = transcript
         self.exhaustive = exhaustive
         self.bounds = bounds
-        self.trials = trials
 
     @property
     def outcome(self):
         return "witness" if self.witness is not None else "exhausted"
 
-    def label(self):
-        if self.witness is not None:
-            return "witness"
-        return (
-            f"exhausted(max_vertices={self.bounds.max_vertices}, "
-            f"max_edges={self.bounds.max_edges}, "
-            f"max_edge_size={self.bounds.max_edge_size})"
-        )
-
     def to_json(self):
         data = {
             "outcome": self.outcome,
             "exhaustive_search": self.exhaustive,
-            "trials": self.trials,
-            "bounds": {
-                "max_vertices": self.bounds.max_vertices,
-                "max_edges": self.bounds.max_edges,
-                "max_edge_size": self.bounds.max_edge_size,
-            },
+            "bounds": asdict(self.bounds),
         }
         if self.witness is not None:
             data["witness"] = hypergraph_to_json(self.witness)
@@ -938,47 +922,28 @@ def _structured_equal_parts(bounds):
     return None, None
 
 
-def _random_equal_parts(bounds, seed, trials):
-    rng = random.Random(seed)
-    attempted = 0
-    for _ in range(trials):
-        n = rng.randint(5, bounds.max_vertices)
-        names = _vertex_names(n)
-        universe = []
-        for size in range(2, min(n, bounds.max_edge_size) + 1):
-            universe.extend(itertools.combinations(names, size))
-        top = min(bounds.max_edges, len(universe))
-        if top < 4:
-            continue
-        count = rng.randint(4, top)
-        combo = rng.sample(universe, count)
-        attempted += 1
-        edges = {f"e{i + 1}": s for i, s in enumerate(combo)}
-        graph = Hypergraph(names, edges)
-        try:
-            return graph, validate_equal_parts_witness(graph), attempted
-        except ValueError:
-            continue
-    return None, None, attempted
-
-
-def search_equal_parts_example(bounds=None, seed=0, random_trials=2000):
+def search_equal_parts_example(bounds=None):
     """Look for a hypergraph whose overlap-2 clustering has two parts both
     equal to the whole vertex set.
 
-    Small bounds are searched exhaustively; larger ones get a structured
-    construction plus a seeded random lane.  A returned witness always
+    Bounds of up to 4 vertices are searched exhaustively.  Larger bounds
+    get the construction of :func:`_structured_equal_parts`, which needs
+    3m >= 9 vertices, edges of 3 vertices and 6m - 4 edges; where it does
+    not fit, the result is ``exhausted`` with ``exhaustive_search`` false,
+    which claims nothing about those bounds.  A returned witness always
     carries its own validation transcript; nothing is ever fabricated.
+
+    With edges of at most 3 vertices no witness has fewer than 8 vertices.
+    A spanning overlap-2 component on n >= 3 vertices grows from one
+    triple, and every edge that brings a new vertex shares a pair with the
+    edges before it, so the component covers at least 3 + 2(n - 3) =
+    2n - 3 distinct vertex pairs.  Two components share no pair, or an
+    edge of one would meet an edge of the other in 2 vertices, so
+    4n - 6 <= C(n, 2), which forces n >= 8.
     """
     bounds = bounds or SearchBounds()
     if bounds.max_vertices <= 4:
         witness, transcript = _exhaustive_equal_parts(bounds)
-        return EqualPartsResult(witness, transcript, True, bounds, 0)
+        return EqualPartsResult(witness, transcript, True, bounds)
     witness, transcript = _structured_equal_parts(bounds)
-    if witness is not None:
-        return EqualPartsResult(witness, transcript, False, bounds, 0)
-    witness, transcript, trials = _random_equal_parts(
-        bounds, seed, random_trials
-    )
-    return EqualPartsResult(witness, transcript, False, bounds, trials)
-
+    return EqualPartsResult(witness, transcript, False, bounds)

@@ -23,12 +23,11 @@ from .graphs import (
     SizeLimitError,
     _pair_graph,
     build_named,
-    hypergraph_from_json,
     hypergraph_to_json,
     linear_triangle,
     path,
     random_degenerate_graph,
-    validate_hypergraph,
+    valid_hypergraph_from_json,
 )
 from .motifs import BudgetExceededError, enumerate_embeddings, motif_expansion
 from .partitions import clustering_to_json, remove_spurious
@@ -61,7 +60,10 @@ from .schemes import (
 
 def _load_json_file(path):
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def parse_graph_arg(text):
@@ -69,11 +71,7 @@ def parse_graph_arg(text):
     if text.startswith("@"):
         text = text[1:]
     if os.path.exists(text):
-        graph = hypergraph_from_json(_load_json_file(text))
-        report = validate_hypergraph(graph)
-        if not report.ok:
-            raise ValueError(f"{text}: {report.violations[0]}")
-        return graph
+        return valid_hypergraph_from_json(_load_json_file(text), text)
     try:
         return build_named(text)
     except ValueError:
@@ -289,11 +287,7 @@ def run_witness(args):
 
 
 def run_search(args):
-    result = search_equal_parts_example(
-        _bounds_from_args(args, SearchBounds),
-        seed=args.seed,
-        random_trials=args.trials,
-    )
+    result = search_equal_parts_example(_bounds_from_args(args, SearchBounds))
     _emit_json(result.to_json(), args.out)
     return 0
 
@@ -480,8 +474,6 @@ def build_parser():
         "search", help="search for the two-spanning-components example"
     )
     _add_bounds_flags(p, SearchBounds)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_int_range(0), default=2000)
     p.add_argument("--out")
     p.set_defaults(handler=run_search)
 

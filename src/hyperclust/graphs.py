@@ -207,9 +207,20 @@ def hypergraph_from_json(data):
     try:
         vertices = data["vertices"]
         edges = [(e["id"], e["vertices"]) for e in data.get("edges", [])]
+        return Hypergraph(vertices, edges)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc}") from exc
-    return Hypergraph(vertices, edges)
+
+
+def valid_hypergraph_from_json(data, source):
+    """:func:`hypergraph_from_json` for input from outside the program: a
+    graph that :func:`validate_hypergraph` faults is refused with a
+    ``ValueError`` that names ``source`` and the first violation."""
+    graph = hypergraph_from_json(data)
+    report = validate_hypergraph(graph)
+    if not report.ok:
+        raise ValueError(f"{source}: {report.violations[0]}")
+    return graph
 
 
 def name_escapes(separators):

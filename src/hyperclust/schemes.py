@@ -28,11 +28,11 @@ from .graphs import (
     complete_graph,
     corner_glued_pair,
     edge_glued_chain,
-    hypergraph_from_json,
     hypergraph_to_json,
     iso_check,
     simplex,
     triangle_with_tail,
+    valid_hypergraph_from_json,
 )
 # enumerate_embeddings is no longer called here, but stays importable from
 # this module: perfbench's tracer wraps it at this seam.
@@ -43,8 +43,6 @@ from .partitions import PartitionedSet, remove_spurious
 # materialize against each input graph, truncated by what could embed at all.
 SPANNING_FAMILY = "E*"
 TAILED_TRIANGLE_FAMILY = "R*"
-
-TOY_RULES = ("always_one_part_except_K2", "component_rule", "noprops")
 
 
 @dataclass(frozen=True)
@@ -270,14 +268,7 @@ _TOY_IMPL = {
     "component_rule": _toy_component_rule,
     "noprops": _toy_noprops,
 }
-
-
-def toy_cluster(rule, graph):
-    try:
-        impl = _TOY_IMPL[rule]
-    except KeyError:
-        raise ValueError(f"unknown toy rule: {rule!r}") from None
-    return impl(graph)
+TOY_RULES = tuple(_TOY_IMPL)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +304,7 @@ def cluster(scheme, graph, expand=None):
         parts = component_member_unions(graph.edge_sets(), 1)
         return PartitionedSet._make(graph.vertices, frozenset(parts))
     if isinstance(scheme, ToyScheme):
-        return toy_cluster(scheme.rule, graph)
+        return _TOY_IMPL[scheme.rule](graph)
     raise ValueError(f"not a scheme: {scheme!r}")
 
 
@@ -328,7 +319,7 @@ def _motif_entry_from_json(entry):
         if entry in (SPANNING_FAMILY, TAILED_TRIANGLE_FAMILY):
             return entry
         return build_named(entry)
-    return hypergraph_from_json(entry)
+    return valid_hypergraph_from_json(entry, "scheme motif")
 
 
 def scheme_to_json(scheme):
@@ -348,19 +339,23 @@ def scheme_to_json(scheme):
 
 
 def scheme_from_json(data):
+    """Read a scheme from :func:`scheme_to_json`'s form.  Inline motifs are
+    validated as graph files are, and a missing key or a value of the wrong
+    type is refused as malformed; every refusal is a ``ValueError``."""
     try:
         kind = data["kind"]
+        if kind == "representable":
+            motifs = tuple(_motif_entry_from_json(m) for m in data.get("motifs", []))
+            return MotifScheme(motifs, parse_threshold(data.get("k", 1)))
+        if kind == "sigma":
+            motif = valid_hypergraph_from_json(data["motif"], "scheme motif")
+            return SharedEdgeScheme(motif)
+        if kind == "classic":
+            return ComponentScheme()
+        if kind == "toy":
+            return ToyScheme(data["id"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scheme JSON: {exc}") from exc
-    if kind == "representable":
-        motifs = tuple(_motif_entry_from_json(m) for m in data.get("motifs", []))
-        return MotifScheme(motifs, parse_threshold(data.get("k", 1)))
-    if kind == "sigma":
-        return SharedEdgeScheme(hypergraph_from_json(data["motif"]))
-    if kind == "classic":
-        return ComponentScheme()
-    if kind == "toy":
-        return ToyScheme(data["id"])
     raise ValueError(f"unknown scheme kind: {kind!r}")
 
 

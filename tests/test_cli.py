@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperclust import checks
 from hyperclust.cli import (
@@ -693,7 +695,6 @@ class TestSearch:
     @pytest.mark.parametrize(
         "flag, value, low",
         [
-            ("--trials", "-3", 0),
             ("--max-vertices", "-1", 0),
             ("--max-edges", "-1", 0),
             ("--max-edge-size", "0", 1),
@@ -705,19 +706,25 @@ class TestSearch:
         assert f"argument {flag}: must be at least {low}, got {value}" in err
 
     @pytest.mark.parametrize("max_edges", ["0", "2", "3"])
-    def test_random_lane_skips_draws_below_four_edges(self, capsys, max_edges):
-        # The random lane draws 4 or more edges, so no draw fits these bounds.
+    def test_few_edges_claim_nothing(self, capsys, max_edges):
         code, out, err = run_cli(
             capsys, "search", "--max-vertices", "5", "--max-edges", max_edges
         )
         assert (code, err) == (0, "")
         data = json.loads(out)
         assert data["outcome"] == "exhausted"
-        assert data["trials"] == 0
+        assert data["exhaustive_search"] is False
+        assert "trials" not in data
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_no_random_lane_flags(self, capsys, flag):
+        out, err = refused_at_parse(capsys, "search", flag, "1")
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 1" in err
 
     def test_deterministic_output(self, capsys):
-        _, first, _ = run_cli(capsys, "search", "--seed", "5")
-        _, second, _ = run_cli(capsys, "search", "--seed", "5")
+        _, first, _ = run_cli(capsys, "search")
+        _, second, _ = run_cli(capsys, "search")
         assert first == second
 
 
@@ -839,6 +846,65 @@ class TestBench:
         assert fit_count_slope(rows) == pytest.approx(2.0)
 
 
+def _motif(*edges):
+    """Inline motif JSON on vertices a, b, c with edges e1, e2, ... as given."""
+    return {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": f"e{i + 1}", "vertices": e} for i, e in enumerate(edges)],
+    }
+
+
+# Scheme JSON as a user might write it: every kind and an unknown one, a
+# key missing or a value of the wrong type now and then, and inline motifs
+# whose edges may be empty or name vertices the motif lacks.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.text("abz*", max_size=2),
+    st.lists(st.integers(0, 1), max_size=2), st.just({}),
+)
+
+
+@st.composite
+def _mangled(draw, fields):
+    """A dict drawn from ``fields``; one time in four, one key is dropped or
+    its value replaced by junk."""
+    data = {key: draw(value) for key, value in fields.items()}
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(sorted(fields)))
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_JUNK)
+    return data
+
+
+def _scheme_json():
+    names = st.sampled_from(["a", "b", "c", "z", ""])
+    edge = _mangled({
+        "id": st.sampled_from(["e1", "e2", "e3"]),
+        "vertices": st.lists(names, max_size=3),
+    })
+    motif = _mangled({
+        "vertices": st.lists(names, max_size=4),
+        "edges": st.lists(edge, max_size=3),
+    })
+    motif_entry = st.one_of(motif, st.sampled_from(["E*", "R*", "K_2", "Z_9"]))
+    schemes = st.one_of(
+        _mangled({
+            "kind": st.just("representable"),
+            "motifs": st.lists(motif_entry, max_size=2),
+            "k": st.sampled_from([1, 2, "inf", 0, "x", 1.5]),
+        }),
+        _mangled({"kind": st.just("sigma"), "motif": motif}),
+        _mangled({"kind": st.just("classic")}),
+        _mangled({
+            "kind": st.just("toy"),
+            "id": st.sampled_from(["noprops", "component_rule", "mystery"]),
+        }),
+        _mangled({"kind": st.just("quantum")}),
+    )
+    return st.one_of(schemes, _JUNK)
+
+
 class TestErrorPaths:
     def test_malformed_json_file(self, capsys, tmp_path):
         target = tmp_path / "broken.json"
@@ -849,14 +915,67 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_incomplete_scheme_json(self, capsys, tmp_path):
+    @pytest.mark.parametrize("scheme, message", [
+        pytest.param({"kind": "toy"}, "malformed scheme JSON: 'id'", id="toy-no-id"),
+        pytest.param(
+            {"kind": "sigma"}, "malformed scheme JSON: 'motif'", id="sigma-no-motif"
+        ),
+        pytest.param(
+            {"kind": "sigma", "motif": _motif(["a", "b"], [], ["b", "c"])},
+            "scheme motif: edge e2 is empty",
+            id="sigma-empty-edge",
+        ),
+        pytest.param(
+            {"kind": "sigma", "motif": _motif(["a", "b"], ["a", "z"], ["b", "c"])},
+            "scheme motif: edge e2 references unknown vertex z",
+            id="sigma-unknown-vertex",
+        ),
+        pytest.param(
+            {"kind": "representable", "motifs": [_motif([])]},
+            "scheme motif: edge e1 is empty",
+            id="representable-empty-edge",
+        ),
+        pytest.param(
+            {"kind": "representable", "motifs": [_motif(["a", "z"])]},
+            "scheme motif: edge e1 references unknown vertex z",
+            id="representable-unknown-vertex",
+        ),
+        pytest.param(
+            {"kind": "representable", "motifs": 3},
+            "malformed scheme JSON: 'int' object is not iterable",
+            id="motifs-not-a-list",
+        ),
+    ])
+    def test_bad_scheme_json_is_refused(self, capsys, tmp_path, scheme, message):
         target = tmp_path / "scheme.json"
-        target.write_text(json.dumps({"kind": "toy"}))
-        code, _, err = run_cli(
-            capsys, "cluster", "K_2", "--scheme", f"@{target}"
-        )
-        assert code == 2
-        assert err.startswith("error:")
+        target.write_text(json.dumps(scheme))
+        code, out, err = run_cli(capsys, "cluster", "K_3", "--scheme", f"@{target}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["cluster", "K_3", "--scheme", "@{}"], id="scheme-file"),
+        pytest.param(["cluster", "{}", "--scheme", "classic"], id="graph-file"),
+    ])
+    def test_deeply_nested_json_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, *(a.format(target) for a in argv))
+        assert (code, out, err) == (2, "", f"error: {target}: JSON nested too deeply to read\n")
+
+    @given(scheme=_scheme_json())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        # The function-scoped fixtures only set the cache variable, hand out
+        # a directory and capture output; every example writes the same
+        # file afresh and reads its own output.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_no_scheme_json_escapes_as_a_traceback(self, capsys, tmp_path, scheme):
+        target = tmp_path / "scheme.json"
+        target.write_text(json.dumps(scheme))
+        code, _, _ = run_cli(capsys, "cluster", "K_3", "--scheme", f"@{target}")
+        assert code in (0, 2)
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -162,11 +162,15 @@ class TestHypergraph:
     def test_from_json_accepts_missing_edge_list(self):
         assert hypergraph_from_json({"vertices": ["a"]}) == Hypergraph("a")
 
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            hypergraph_from_json(["a"])
-        with pytest.raises(ValueError):
-            hypergraph_from_json({"vertices": ["a"], "edges": [{"id": "e"}]})
+    @pytest.mark.parametrize("data", [
+        ["a"],
+        {"vertices": ["a"], "edges": [{"id": "e"}]},
+        {"vertices": 5},
+        {"vertices": ["a"], "edges": [{"id": "e1", "vertices": 7}]},
+    ])
+    def test_from_json_rejects_garbage(self, data):
+        with pytest.raises(ValueError, match="malformed hypergraph JSON"):
+            hypergraph_from_json(data)
 
 
 class TestMorphisms:

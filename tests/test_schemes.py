@@ -30,7 +30,6 @@ from hyperclust.schemes import (
     scheme_label,
     scheme_to_json,
     shared_edge_graph,
-    toy_cluster,
     validate_shared_edge_motif,
 )
 
@@ -269,10 +268,8 @@ class TestComponentScheme:
 
 class TestToys:
     def test_rule_names_are_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown toy rule: 'mystery'"):
             ToyScheme("mystery")
-        with pytest.raises(ValueError):
-            toy_cluster("mystery", complete_graph(2))
 
     def test_one_part_except_pair(self):
         s = ToyScheme("always_one_part_except_K2")
