@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The README's command-line examples, each with its documented exit code.
 # Run it from a scratch directory, with `hyperclust` on PATH: it writes
-# line.dot, comma-names.json, bad-scheme.json and bad-scheme.err into the
-# current directory.
+# line.dot, comma-names.json, quote-names.json, quote-names.dot,
+# quote-names.out, bad-scheme.json and bad-scheme.err into the current
+# directory.
 #
 #     bash scripts/readme-commands.sh
 set -euo pipefail
@@ -36,6 +37,26 @@ cat > comma-names.json <<'JSON'
            {"id": "e3", "vertices": ["a,b"]}]}
 JSON
 hyperclust linegraph comma-names.json --k 1
+
+# A vertex name that holds a double quote: the DOT file escapes it as \",
+# so every line has an even number of unescaped quotes, and the node IDs,
+# read back, are the JSON output's line-graph vertices.
+cat > quote-names.json <<'JSON'
+{"vertices": ["a\"b", "c", "d"],
+ "edges": [{"id": "e1", "vertices": ["a\"b", "c"]},
+           {"id": "e2", "vertices": ["c", "d"]}]}
+JSON
+hyperclust linegraph quote-names.json --k 1 --dot quote-names.dot > quote-names.out
+python3 - quote-names.dot quote-names.out <<'PY'
+import json, re, sys
+lines = open(sys.argv[1]).read().splitlines()
+vertices = json.load(open(sys.argv[2]))["vertices"]
+unescaped_quote = re.compile(r'(?<!\\)(?:\\\\)*"')
+assert all(len(unescaped_quote.findall(line)) % 2 == 0 for line in lines), lines
+ids = [re.match(r'  "((?:[^"\\]|\\.)*)" \[', line) for line in lines]
+nodes = [re.sub(r'\\(["\\])', lambda m: m[0] if m[1] == "\\" else m[1], m[1]) for m in ids if m]
+assert nodes == vertices == ['{a"b,c}', "{c,d}"], (nodes, vertices)
+PY
 
 # A scheme file whose inline motif has an empty edge is refused as input
 # (exit 2, one `error:` line), not run.

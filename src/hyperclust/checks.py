@@ -35,8 +35,9 @@ from .graphs import (
     GraphMorphism,
     Hypergraph,
     SizeLimitError,
+    _simple_adjacency,
     canonical_key,
-    graph_distance,
+    complete_graph,
     hypergraph_to_json,
     iso_check,
     restrict,
@@ -397,7 +398,7 @@ class Corpus:
 def _contains_isomorph(graphs, graph):
     # iso_check compares vertex and edge counts and profile classes before
     # it builds canonical forms, so most members are ruled out cheaply.
-    return any(iso_check(member, graph)[0] for member in graphs)
+    return any(iso_check(member, graph) for member in graphs)
 
 
 def generate_corpus(bounds=None, use_cache=True):
@@ -734,43 +735,29 @@ class FiniteRepWitness:
         }
 
 
-def _triangle_vertices(graph):
-    pairs = {s for s in graph.edges.values() if len(s) == 2}
-    vertices = sorted({v for s in pairs for v in s})
-    found = set()
-    for a, b, c in itertools.combinations(vertices, 3):
-        if (
-            frozenset((a, b)) in pairs
-            and frozenset((a, c)) in pairs
-            and frozenset((b, c)) in pairs
-        ):
-            found.update((a, b, c))
-    return found
-
-
 def _triangle_radius(graph):
-    anchors = _triangle_vertices(graph)
+    # The triangle vertices are the images of K_3's embeddings, which lie on
+    # 2-edges; one BFS from all of them at once gives every vertex's
+    # distance to the nearest.
+    anchors = set().union(*expansion_edge_sets((complete_graph(3),), graph))
     if not anchors:
         raise ValueError(
             f"finite_rep_witness needs a triangle in every motif; "
             f"none found in a graph on {len(graph.vertices)} vertices"
         )
-    worst = 0
+    adj = _simple_adjacency(graph, "finite_rep_witness")
+    distance = dict.fromkeys(anchors, 0)
+    queue = list(anchors)
+    # The loop also visits the vertices appended while it runs.
+    for v in queue:
+        for w in adj[v]:
+            if w not in distance:
+                distance[w] = distance[v] + 1
+                queue.append(w)
     for v in graph.vertices:
-        best = min(
-            (
-                d
-                for d in (graph_distance(graph, v, a) for a in anchors)
-                if d is not None
-            ),
-            default=None,
-        )
-        if best is None:
-            raise ValueError(
-                f"vertex {v!r} cannot reach a triangle; radius undefined"
-            )
-        worst = max(worst, best)
-    return worst
+        if v not in distance:
+            raise ValueError(f"vertex {v!r} cannot reach a triangle; radius undefined")
+    return max(distance.values())
 
 
 def finite_rep_witness(motif_graphs):
@@ -780,6 +767,11 @@ def finite_rep_witness(motif_graphs):
     The radius is the largest distance from any vertex to a triangle across
     the given graphs; a tail one longer than that defeats every one of them
     at once, while representing the tailed graph by itself trivially works.
+    Each graph's triangles are the images of the embedding search for K_3,
+    and its radius comes from one breadth-first search started at all of
+    them.  A graph is refused with ``ValueError`` when it has no triangle,
+    then when it is not a simple graph, then when a vertex cannot reach a
+    triangle (the first such vertex by name).
     """
     motifs = tuple(motif_graphs)
     if not motifs:
@@ -901,7 +893,7 @@ def _structured_equal_parts(bounds):
         return None, None
     for n in range(9, bounds.max_vertices + 1, 3):
         m = n // 3
-        if n % 3 or (n - 2) + (3 * m - 2) > bounds.max_edges:
+        if (n - 2) + (3 * m - 2) > bounds.max_edges:
             continue
         names = _vertex_names(n)
         edges = {}

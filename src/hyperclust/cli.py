@@ -180,6 +180,10 @@ _DOT_COLORS = (
 )
 
 
+# Inside a quoted DOT ID, \" is the only escape.
+_DOT_ESCAPES = str.maketrans({'"': '\\"'})
+
+
 def _line_graph_dot(line, k):
     # One colour per component, in the name order of each one's first vertex.
     names = line.graph.vertices
@@ -187,13 +191,12 @@ def _line_graph_dot(line, k):
     for index, comp in enumerate(percolate([line.members[n] for n in names], k)):
         for i in comp:
             color_of[names[i]] = _DOT_COLORS[index % len(_DOT_COLORS)]
+    dot_id = {name: '"' + name.translate(_DOT_ESCAPES) + '"' for name in names}
     lines = ["graph linegraph {"]
-    for name in line.graph.vertices:
-        lines.append(
-            f'  "{name}" [style=filled, fillcolor="{color_of[name]}"];'
-        )
+    for name in names:
+        lines.append(f"  {dot_id[name]} [style=filled, fillcolor=\"{color_of[name]}\"];")
     for a, b in sorted(tuple(sorted(s)) for s in line.graph.edges.values()):
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f"  {dot_id[a]} -- {dot_id[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

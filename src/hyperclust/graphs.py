@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 import re
-from collections import Counter, deque
+from collections import Counter
 
 
 class SizeLimitError(Exception):
@@ -360,16 +360,21 @@ def degeneracy(graph):
     return value, order
 
 
-def independence_number(graph, bound=20):
+# The largest graph independence_number searches; above it, refused.
+_INDEPENDENCE_BOUND = 20
+
+
+def independence_number(graph):
     """Exact independence number by branch and bound over bitsets.
 
-    Refuses graphs above ``bound`` vertices; the search is exponential.
+    Refuses graphs above 20 vertices; the search is exponential.
     """
     adj = _simple_adjacency(graph, "independence_number")
     n = len(graph.vertices)
-    if n > bound:
+    if n > _INDEPENDENCE_BOUND:
         raise SizeLimitError(
-            f"independence_number is brute force; {n} vertices exceeds bound {bound}"
+            f"independence_number is brute force; "
+            f"{n} vertices exceeds bound {_INDEPENDENCE_BOUND}"
         )
     index = {v: i for i, v in enumerate(graph.vertices)}
     masks = [0] * n
@@ -393,26 +398,6 @@ def independence_number(graph, bound=20):
     return best
 
 
-def graph_distance(graph, start, goal):
-    """Shortest-path distance on a simple graph; None when unreachable."""
-    adj = _simple_adjacency(graph, "graph_distance")
-    if start not in adj or goal not in adj:
-        raise ValueError("both endpoints must be vertices of the graph")
-    if start == goal:
-        return 0
-    seen = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if w not in seen:
-                seen[w] = seen[v] + 1
-                if w == goal:
-                    return seen[w]
-                queue.append(w)
-    return None
-
-
 def _profile_classes(graph):
     # (profile, vertices) pairs ordered by profile, the vertices of each
     # class by name; a profile is the sorted tuple of incident edge sizes.
@@ -429,31 +414,23 @@ def _profile_classes(graph):
 
 
 def iso_check(left, right):
-    """Isomorphism through the canonical form of :func:`canonical_key`.
+    """Whether ``left`` and ``right`` are isomorphic, through the canonical
+    form of :func:`canonical_key`.
 
-    A hit maps the edge vertex-set multiset of one graph onto the other's,
-    so parallel multiplicities matter.  Returns ``(True, map)`` or
-    ``(False, None)``.  Vertex and edge counts are compared first, then the
-    profile classes (which also fix the edge sizes); each graph's classes
-    are computed once and feed both that test and its canonical form.  Only
-    graphs that agree on both get canonical forms, so only they can be
-    refused, as :func:`canonical_key` refuses them: when their classes allow
-    more than ``_PERM_CAP`` bijections.  The map sends each vertex of
-    ``left`` to the vertex of ``right`` that the two minimising labellings
-    give the same position.
+    An isomorphism maps the edge vertex-set multiset of one graph onto the
+    other's, so parallel multiplicities matter.  Vertex and edge counts are
+    compared first, then the profile classes (which also fix the edge
+    sizes); each graph's classes are computed once and feed both that test
+    and its canonical form.  Only graphs that agree on both get canonical
+    forms, so only they can be refused, as :func:`canonical_key` refuses
+    them: when their classes allow more than ``_PERM_CAP`` bijections.
     """
     if len(left.vertices) != len(right.vertices) or len(left.edges) != len(right.edges):
-        return False, None
+        return False
     lclasses, rclasses = _profile_classes(left), _profile_classes(right)
     if [(p, len(vs)) for p, vs in lclasses] != [(p, len(vs)) for p, vs in rclasses]:
-        return False, None
-    lkey, *lplaced = _canonical_form(left, lclasses)
-    rkey, *rplaced = _canonical_form(right, rclasses)
-    if lkey != rkey:
-        return False, None
-    # Both labellings send their graph's edge multiset onto the same key.
-    vertex_at = {i: w for w, i in _labelling(*rplaced).items()}
-    return True, {v: vertex_at[i] for v, i in _labelling(*lplaced).items()}
+        return False
+    return _canonical_form(left, lclasses) == _canonical_form(right, rclasses)
 
 
 # Graphs with more profile-respecting bijections than this are refused,
@@ -462,38 +439,32 @@ _PERM_CAP = 2_000_000
 
 
 def _canonical_form(graph, classes):
-    """The canonical key of ``graph`` and the bijection that attains it.
+    """The canonical key of ``graph``; ``classes`` is its
+    :func:`_profile_classes`.
 
-    ``classes`` is :func:`_profile_classes` of the graph.  Returns ``(key,
-    order, moves)``: ``order`` lists the vertices class-major, which is the bit
-    order of the masks, and ``moves`` holds one ``(start, perm)`` per block
-    that was searched, sending ``order[start + i]`` to position ``start +
-    perm[i]``; every other vertex keeps its index in ``order``.
-
-    This is the labelled part: it reads the vertex names to build ``order``
-    and each edge's mask over it.  The search, which sees only the shape and
-    the sorted masks, is :func:`_canonical_code`, memoised on them.
+    This is the labelled part: it reads the vertex names to order the
+    vertices class-major and to build each edge's mask over that order.
+    The search, which sees only the shape and the sorted masks, is
+    :func:`_canonical_code`, memoised on them.
     """
     n = len(graph.vertices)
     shape = tuple([(p, len(vs)) for p, vs in classes])
-    order = [v for _, vs in classes for v in vs]
     if not graph.edges:
-        return (n, shape, ()), order, ()
+        return n, shape, ()
+    order = [v for _, vs in classes for v in vs]
     bit = {v: 1 << i for i, v in enumerate(order)}.__getitem__
     masks = tuple(sorted([sum(map(bit, s)) for s in graph.edges.values()]))
-    code, moves = _canonical_code(shape, masks)
-    return (n, shape, code), order, moves
+    return n, shape, _canonical_code(shape, masks)
 
 
 # Sized to hold every distinct encoding of the labelled candidates at
 # max_edges 5 (7,319; 1,570 at the default bounds) without eviction.
 @functools.lru_cache(maxsize=8192)
 def _canonical_code(shape, masks):
-    """The minimum sorted relabelled masks and the block moves attaining it.
+    """The minimum sorted relabelled masks: the code of a canonical key.
 
     ``shape`` is the profile classes' ``(profile, size)`` in order and
-    ``masks`` the sorted edge masks over the class-major order.  Returns
-    ``(code, moves)`` as in :func:`_canonical_form`.  Raises
+    ``masks`` the sorted edge masks over the class-major order.  Raises
     :class:`SizeLimitError` when the classes allow more than ``_PERM_CAP``
     bijections; an exception is not cached, so such a shape is refused on
     every call.
@@ -518,7 +489,7 @@ def _canonical_code(shape, masks):
                     break
         start += size
     if not moving:
-        return masks, ()
+        return masks
 
     # The fixed vertices keep their bits; each searched block adds, per
     # permutation, its relabelled bits of every edge.  The largest block is
@@ -529,37 +500,27 @@ def _canonical_code(shape, masks):
     fixed = [m & ~searched for m in masks]
     (first, size), *rest = moving
     tables = [list(_relabelled(masks, *block)) for block in rest]
-    best = choice = None
-    for perm, bits in _relabelled(masks, first, size):
+    best = None
+    for bits in _relabelled(masks, first, size):
         row = list(map(operator.add, fixed, bits))
         for combo in itertools.product(*tables):
             encoded = row
-            for _, more in combo:
+            for more in combo:
                 encoded = list(map(operator.add, encoded, more))
             encoded = sorted(encoded)
             if best is None or encoded < best:
-                best, choice = encoded, (perm, *(p for p, _ in combo))
-    return tuple(best), tuple(zip((s for s, _ in moving), choice))
+                best = encoded
+    return tuple(best)
 
 
 def _relabelled(masks, start, size):
-    # Each permutation of the block of positions start..start+size-1, with
+    # For each permutation of the block of positions start..start+size-1,
     # the block's bits of every mask moved by it: bit start+i goes to bit
     # start+perm[i].
     members = [[i for i in range(size) if m >> (start + i) & 1] for m in masks]
     for perm in itertools.permutations(range(size)):
         targets = [1 << (start + p) for p in perm]
-        yield perm, [sum([targets[i] for i in ix]) for ix in members]
-
-
-def _labelling(order, moves):
-    # The vertex -> position map that a canonical form's order and moves
-    # describe.
-    position = {v: i for i, v in enumerate(order)}
-    for start, perm in moves:
-        for i, p in enumerate(perm):
-            position[order[start + i]] = start + p
-    return position
+        yield [sum([targets[i] for i in ix]) for ix in members]
 
 
 def canonical_key(graph):
@@ -585,13 +546,12 @@ def canonical_key(graph):
     The search is memoised on ``(shape, sorted masks)``, the graph's
     class-major encoding.  It never reads a vertex name: the twin test, the
     bijection count and the block permutations act on bit positions only, so
-    its code and its block moves are a function of the encoding.  Two graphs
-    with the same encoding differ by a relabelling that keeps each class on
-    its block of positions, so they are isomorphic, get the same key, and
-    the same moves attain it on each graph's own order.  Only the labelled
-    part (the classes, the order and the masks) is computed per call; the
-    candidate stream of the default corpus has 1,570 distinct encodings
-    among its 50,623 graphs.
+    its code is a function of the encoding.  Two graphs with the same
+    encoding differ by a relabelling that keeps each class on its block of
+    positions, so they are isomorphic and get the same key.  Only the
+    labelled part (the classes, the order and the masks) is computed per
+    call; the candidate stream of the default corpus has 1,570 distinct
+    encodings among its 50,623 graphs.
 
     Graphs with edges and more than 2,000,000 profile-respecting bijections
     are refused with :class:`SizeLimitError`.  The count is the product of
@@ -600,7 +560,7 @@ def canonical_key(graph):
     isomorphism search in the package: :func:`iso_check` and corpus
     deduplication both use it.
     """
-    return _canonical_form(graph, _profile_classes(graph))[0]
+    return _canonical_form(graph, _profile_classes(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -536,7 +536,7 @@ def _is_simplex(motif):
     return len(edge) == len(motif.vertices) and edge.issuperset(motif.vertices)
 
 
-def expansion_edge_sets(motifs, graph, budget=None):
+def expansion_edge_sets(motifs, graph):
     """Just the distinct edge vertex sets of the expansion; cheaper than
     building the full expansion when only overlaps matter.
 
@@ -545,9 +545,8 @@ def expansion_edge_sets(motifs, graph, budget=None):
     its one edge onto a target n-edge, and every target n-edge is reached by
     n! embeddings, so its images are exactly the graph's distinct edge sets
     of size n.  Those are added directly, for every such size in one pass
-    over the graph's edge sets, with no search; ``budget`` counts search
-    nodes, so this path never trips it.  Every other motif goes through
-    :func:`enumerate_embeddings`.
+    over the graph's edge sets, with no search.  Every other motif goes
+    through :func:`enumerate_embeddings`.
     """
     cooked = _check_motifs(motifs)
     sizes = set()
@@ -556,28 +555,34 @@ def expansion_edge_sets(motifs, graph, budget=None):
         if _is_simplex(motif):
             sizes.add(len(motif.vertices))
             continue
-        for emb in enumerate_embeddings(motif, graph, budget=budget):
+        for emb in enumerate_embeddings(motif, graph):
             sets.add(frozenset(emb.map.values()))
     if sizes:
         sets.update(s for s in graph.edge_sets() if len(s) in sizes)
     return frozenset(sets)
 
 
-def acyclic_orientation_profile(graph, bound=20):
+# The most edges acyclic_orientation_profile tries every orientation of, for
+# itself and for embedding_count_bound; above it, refused.
+_ORIENTATION_BOUND = 20
+
+
+def acyclic_orientation_profile(graph):
     """Count acyclic orientations of a simple graph by sink count.
 
     Returns a dict mapping number-of-sinks to how many acyclic orientations
     have it.  A sink is a vertex with no outgoing edge, so isolated vertices
     are sinks in every orientation.  All 2^|E| orientations are tried;
-    graphs with more than ``bound`` edges are refused.
+    graphs with more than 20 edges are refused.
     """
     if not graph.is_simple():
         raise ValueError("acyclic_orientation_profile requires a simple graph")
     edges = [tuple(sorted(s)) for s in graph.edges.values()]
     m = len(edges)
-    if m > bound:
+    if m > _ORIENTATION_BOUND:
         raise SizeLimitError(
-            f"acyclic_orientation_profile is brute force; {m} edges exceeds bound {bound}"
+            f"acyclic_orientation_profile is brute force; "
+            f"{m} edges exceeds bound {_ORIENTATION_BOUND}"
         )
     vertices = list(graph.vertices)
     profile = Counter()
@@ -608,7 +613,7 @@ def acyclic_orientation_profile(graph, bound=20):
     return dict(sorted(profile.items()))
 
 
-def embedding_count_bound(motif, degeneracy_value, n, bound=20):
+def embedding_count_bound(motif, degeneracy_value, n):
     """Upper bound on embeddings of a simple ``motif`` into any graph with
     ``n`` vertices and the given degeneracy.
 
@@ -617,7 +622,7 @@ def embedding_count_bound(motif, degeneracy_value, n, bound=20):
     than the motif's independence number cannot occur, so the sum is finite
     and tight in t.
     """
-    profile = acyclic_orientation_profile(motif, bound=bound)
+    profile = acyclic_orientation_profile(motif)
     alpha = independence_number(motif)
     size = len(motif.vertices)
     total = 0

@@ -7,6 +7,8 @@ names or, for line-graph style objects, frozensets of vertex names.
 
 from __future__ import annotations
 
+import itertools
+
 from .graphs import Validation
 
 
@@ -138,12 +140,7 @@ def is_refinement(finer, coarser):
 
 
 def is_non_overlapping(partitioned):
-    parts = sorted(partitioned.parts, key=lambda p: tuple(sorted(p, key=_element_key)))
-    for i, p in enumerate(parts):
-        for q in parts[i + 1:]:
-            if p & q:
-                return False
-    return True
+    return not any(p & q for p, q in itertools.combinations(partitioned.parts, 2))
 
 
 def part_union(partitioned):

@@ -237,7 +237,7 @@ def _is_pair_like(graph):
 
 
 def _toy_one_part_except_pair(graph):
-    if iso_check(graph, _PAIR)[0]:
+    if iso_check(graph, _PAIR):
         return _singletons(graph)
     return _single_part(graph)
 
@@ -256,9 +256,9 @@ def _toy_component_rule(graph):
 
 
 def _toy_noprops(graph):
-    if iso_check(graph, _PAIR)[0]:
+    if iso_check(graph, _PAIR):
         return _singletons(graph)
-    if iso_check(graph, _TWO_PAIRS)[0]:
+    if iso_check(graph, _TWO_PAIRS):
         return PartitionedSet(graph.vertices, _pair_components(graph))
     return _single_part(graph)
 

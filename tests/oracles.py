@@ -9,9 +9,11 @@ JSON round trips, the morphism validity sweep) serve only the tests, so
 they live here rather than in the package.
 """
 
+import collections
 import dataclasses
 import functools
 import itertools
+import math
 import re
 from bisect import bisect_right
 
@@ -332,7 +334,7 @@ def naive_shared_edge_parts(motif, graph):
 
 
 # ---------------------------------------------------------------------------
-# the canonical form the package used before edge bitmasks and twin blocks
+# canonical forms by trying every profile-respecting bijection
 
 def _vertex_profiles(graph):
     prof = {v: [] for v in graph.vertices}
@@ -342,49 +344,102 @@ def _vertex_profiles(graph):
     return {v: tuple(sorted(sizes)) for v, sizes in prof.items()}
 
 
-def _canonical_form(graph):
-    # The canonical key and a labelling vertex -> 0..n-1 that attains it.
-    n = len(graph.vertices)
+def _profile_blocks(graph):
+    # (profile, vertices) per profile class, in profile order.
     prof = _vertex_profiles(graph)
     classes = {}
     for v in graph.vertices:
         classes.setdefault(prof[v], []).append(v)
-    ordered = sorted(classes.items())
-    shape = tuple((p, len(vs)) for p, vs in ordered)
-    if not graph.edges:
-        return (n, shape, ()), {v: i for i, v in enumerate(graph.vertices)}
+    return sorted(classes.items())
 
+
+def _least_encoding(graph, encode):
+    # The least sorted tuple of encode(position, edge) over the edges, taken
+    # over every bijection position: vertex -> 0..n-1 that sends each
+    # profile class onto its own block of positions, the blocks in profile
+    # order.
+    if not graph.edges:
+        return ()
+    blocks = _profile_blocks(graph)
     total = 1
-    for _, vs in ordered:
-        for k in range(2, len(vs) + 1):
-            total *= k
+    for _, vs in blocks:
+        total *= math.factorial(len(vs))
         if total > _PERM_CAP:
             raise SizeLimitError("canonical form: too many profile-respecting bijections")
-
     slots = []
     start = 0
-    for _, vs in ordered:
-        slots.append((vs, start))
+    for _, vs in blocks:
+        slots.append((vs, range(start, start + len(vs))))
         start += len(vs)
-
-    best = labelling = None
-    for combo in itertools.product(*[itertools.permutations(vs) for vs, _ in slots]):
-        position = {}
-        for (vs, base), perm in zip(slots, combo):
-            for offset, v in enumerate(perm):
-                position[v] = base + offset
-        encoded = tuple(sorted(tuple(sorted(position[v] for v in s)) for s in graph.edges.values()))
+    best = None
+    for combo in itertools.product(*[itertools.permutations(block) for _, block in slots]):
+        position = {v: p for (vs, _), perm in zip(slots, combo) for v, p in zip(vs, perm)}
+        encoded = tuple(sorted(encode(position, s) for s in graph.edges.values()))
         if best is None or encoded < best:
             best = encoded
-            labelling = position
-    return (n, shape, best), labelling
+    return best
 
 
 def reference_key(graph):
-    """The slow canonical key: every profile-respecting bijection is tried
-    and the edges are encoded as sorted position tuples.  Its values differ
-    from ``canonical_key``'s, but the two must split graphs alike."""
-    return _canonical_form(graph)[0]
+    """The slow canonical key the package used before edge bitmasks and twin
+    blocks: every profile-respecting bijection is tried and the edges are
+    encoded as sorted position tuples.  Its values differ from
+    ``canonical_key``'s, but the two must split graphs alike."""
+    shape = tuple((p, len(vs)) for p, vs in _profile_blocks(graph))
+    code = _least_encoding(graph, lambda position, s: tuple(sorted(position[v] for v in s)))
+    return (len(graph.vertices), shape, code)
+
+
+def reference_code(graph):
+    """``canonical_key(graph)[2]`` by brute force: the least sorted tuple of
+    edge bitmasks, bit ``position[v]`` for each member ``v``, over every
+    profile-respecting bijection ``position``."""
+    return _least_encoding(graph, lambda position, s: sum(1 << position[v] for v in s))
+
+
+def reference_radius(graph):
+    """``finite_rep_witness``'s radius of one graph, the way the package
+    computed it before it used the embedding search: triangles by testing
+    every vertex triple on 2-edges, then one breadth-first search per
+    (vertex, triangle vertex) pair.  Raises ``ValueError`` with the
+    package's messages, in its order."""
+    pairs = {s for s in graph.edges.values() if len(s) == 2}
+    vertices = sorted({v for s in pairs for v in s})
+    anchors = set()
+    for a, b, c in itertools.combinations(vertices, 3):
+        if {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} <= pairs:
+            anchors.update((a, b, c))
+    if not anchors:
+        raise ValueError(
+            f"finite_rep_witness needs a triangle in every motif; "
+            f"none found in a graph on {len(graph.vertices)} vertices"
+        )
+
+    def graph_distance(start, goal):
+        # Shortest-path distance on a simple graph; None when unreachable.
+        if not graph.is_simple():
+            raise ValueError("finite_rep_witness requires a simple graph")
+        adj = {v: set() for v in graph.vertices}
+        for u, w in map(sorted, graph.edges.values()):
+            adj[u].add(w)
+            adj[w].add(u)
+        seen = {start: 0}
+        queue = collections.deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in seen:
+                    seen[w] = seen[v] + 1
+                    queue.append(w)
+        return seen.get(goal)
+
+    worst = 0
+    for v in graph.vertices:
+        found = [d for d in (graph_distance(v, a) for a in anchors) if d is not None]
+        if not found:
+            raise ValueError(f"vertex {v!r} cannot reach a triangle; radius undefined")
+        worst = max(worst, min(found))
+    return worst
 
 
 def reference_hull(motifs, graph, corpus, expand=expansion_edge_sets):

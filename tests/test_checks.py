@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -9,6 +10,8 @@ from collections import Counter
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperclust import checks
 from hyperclust.checks import (
@@ -744,6 +747,31 @@ class TestHullAgainstTheReference:
             assert "difference_witness" not in stats
 
 
+@st.composite
+def planted_graphs(draw):
+    """A random graph on up to 8 vertices, with a triangle planted on three
+    of them half the time; now and then a 3-edge or a parallel edge makes it
+    non-simple."""
+    n = draw(st.integers(1, 8))
+    names = [f"v{i}" for i in range(1, n + 1)]
+    combos = list(itertools.combinations(names, 2))
+    pairs = set(draw(st.lists(st.sampled_from(combos), max_size=10))) if combos else set()
+    if n >= 3 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(names))[:3]
+        pairs |= {tuple(sorted(p)) for p in ((a, b), (a, c), (b, c))}
+    edges = {f"{a}-{b}": (a, b) for a, b in pairs}
+    if n >= 3 and draw(st.integers(0, 9)) == 0:
+        edges["big"] = draw(st.permutations(names))[:3]
+    if pairs and draw(st.integers(0, 9)) == 0:
+        edges["twin"] = sorted(pairs)[0]
+    return Hypergraph(names, edges)
+
+
+def radius_graphs():
+    base = st.one_of(planted_graphs(), st.integers(0, 6).map(triangle_with_tail))
+    return st.one_of(base, st.tuples(base, base).map(lambda pair: disjoint_union(*pair)))
+
+
 class TestFiniteRepWitness:
     @pytest.mark.parametrize("tail", [0, 1, 2, 3])
     def test_radius_tracks_the_longest_tail(self, tail):
@@ -757,18 +785,36 @@ class TestFiniteRepWitness:
         assert result.ok
         assert result.to_json()["verdict"] == "pass"
 
-    def test_triangle_free_motifs_are_rejected(self):
-        with pytest.raises(ValueError):
-            finite_rep_witness([path(3)])
+    @pytest.mark.parametrize(
+        "motif",
+        # The second is not simple either; a missing triangle is named first.
+        [path(3), Hypergraph("abc", {"e1": "ab", "e2": "abc"})],
+        ids=["P_3", "not-simple"],
+    )
+    def test_triangle_free_motifs_are_rejected(self, motif):
+        with pytest.raises(ValueError, match="needs a triangle"):
+            finite_rep_witness([motif])
 
     def test_unreachable_triangle_is_rejected(self):
         split = disjoint_union(complete_graph(3), complete_graph(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'v1.r' cannot reach a triangle"):
             finite_rep_witness([split])
 
     def test_needs_at_least_one_motif(self):
         with pytest.raises(ValueError):
             finite_rep_witness([])
+
+    @given(radius_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_radius_matches_the_reference(self, g):
+        try:
+            expected = oracles.reference_radius(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                finite_rep_witness([g])
+            assert str(caught.value) == str(exc)
+        else:
+            assert finite_rep_witness([g]).per_graph_radius == (expected,)
 
 
 class TestEqualPartsSearch:

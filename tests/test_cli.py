@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -142,6 +143,15 @@ def id_clash_file(tmp_path):
     )
     target.write_text(json.dumps(hypergraph_to_json(graph)))
     return str(target)
+
+
+def dot_ids(line):
+    """The quoted IDs of one DOT line, read as Graphviz reads them: \\"
+    stands for " and a backslash pair for itself."""
+    return [
+        re.sub(r'\\(["\\])', lambda m: m[0] if m[1] == "\\" else m[1], text)
+        for text in re.findall(r'"((?:[^"\\]|\\.)*)"', line)
+    ]
 
 
 def run_cli(capsys, *argv):
@@ -385,6 +395,28 @@ class TestLinegraph:
             if "fillcolor" in line
         }
         assert len(colors) == 2
+
+    def test_dot_ids_escape_quotes(self, capsys, tmp_path):
+        # Set names double every backslash, so a " in a name always follows
+        # an even run of them, and escaping it leaves an odd run.
+        graph_path = tmp_path / "quotes.json"
+        graph = Hypergraph(
+            ['a"b', "c", "d", 'x\\"'],
+            {"e1": ('a"b', "c"), "e2": "cd", "e3": ("d", 'x\\"')},
+        )
+        graph_path.write_text(json.dumps(hypergraph_to_json(graph)))
+        dot_path = tmp_path / "quotes.dot"
+        code, out, _ = run_cli(
+            capsys, "linegraph", str(graph_path), "--k", "1", "--dot", str(dot_path)
+        )
+        assert code == 0
+        data = json.loads(out)
+        lines = dot_path.read_text().splitlines()[1:-1]
+        nodes = [dot_ids(line)[0] for line in lines if "fillcolor" in line]
+        edges = [sorted(dot_ids(line)) for line in lines if " -- " in line]
+        assert nodes == data["vertices"] == ['{a"b,c}', "{c,d}", '{d,x\\\\"}']
+        assert edges == data["edges"]
+        assert len(nodes) + len(edges) == len(lines)
 
 
 class TestCheck:
@@ -675,6 +707,15 @@ class TestWitness:
         code, _, err = run_cli(capsys, "witness", "--motifs", "{P_3}")
         assert code == 2
         assert "triangle" in err
+
+    def test_rejects_non_simple_motifs_by_its_own_name(self, capsys, tmp_path):
+        # K_3 plus the 3-edge {b, c, d}: a triangle, but not a simple graph.
+        motif = tmp_path / "k3-and-triple.json"
+        graph = Hypergraph("abcd", {"e1": "ab", "e2": "ac", "e3": "bc", "e4": "bcd"})
+        motif.write_text(json.dumps(hypergraph_to_json(graph)))
+        code, out, err = run_cli(capsys, "witness", "--motifs", str(motif))
+        assert (code, out) == (2, "")
+        assert err == "error: finite_rep_witness requires a simple graph\n"
 
 
 class TestSearch:

@@ -14,8 +14,6 @@ from hyperclust.graphs import (
     Hypergraph,
     SizeLimitError,
     _canonical_code,
-    _canonical_form,
-    _labelling,
     _profile_classes,
     build_named,
     canonical_key,
@@ -28,7 +26,6 @@ from hyperclust.graphs import (
     edge_glued_chain,
     fused_triples,
     fused_triples_host,
-    graph_distance,
     hypergraph_from_json,
     hypergraph_to_json,
     independence_number,
@@ -245,36 +242,21 @@ class TestInvariants:
     def test_independence_refuses_large_input(self):
         g = path(25)
         with pytest.raises(SizeLimitError):
-            independence_number(g, bound=20)
-
-    def test_distance(self):
-        g = path(4)
-        assert graph_distance(g, "v1", "v4") == 3
-        assert graph_distance(g, "v1", "v1") == 0
-        h = disjoint_union(path(2), path(2))
-        assert graph_distance(h, "v1.l", "v1.r") is None
+            independence_number(g)
 
 
 class TestIso:
     def test_parallel_edge_multiplicity_counts(self):
         a = Hypergraph("ab", {"e1": "ab", "e2": "ab"})
         b = Hypergraph("ab", {"e1": "ab"})
-        assert not iso_check(a, b)[0]
-        assert iso_check(a, relabel(a, {"a": "x", "b": "y"}))[0]
+        assert iso_check(a, b) is False
+        assert iso_check(a, relabel(a, {"a": "x", "b": "y"})) is True
         # Same counts, profile classes and distinct edge sets (the path
         # b-e-d-c); only the multiplicities tell them apart.
         tripled = Hypergraph("bcde", {"e1": "be", "e2": "cd", "e3": "cd", "e4": "cd", "e5": "de"})
         doubled = Hypergraph("bcde", {"e1": "be", "e2": "cd", "e3": "cd", "e4": "de", "e5": "de"})
         assert not oracles.incidence_isomorphic(tripled, doubled)
-        assert not iso_check(tripled, doubled)[0]
-
-    def test_iso_returns_valid_map(self):
-        g = cycle(5)
-        h = relabel(g, {f"v{i}": f"w{6 - i}" for i in range(1, 6)})
-        ok, mapping = iso_check(g, h)
-        assert ok
-        m = GraphMorphism(g, h, mapping)
-        assert validate_graph_morphism(m).ok
+        assert iso_check(tripled, doubled) is False
 
     def test_iso_refuses_large_input(self):
         # 10! profile-respecting bijections, over the cap of both routines.
@@ -287,17 +269,17 @@ class TestIso:
         # 2! * 7! = 10,080 profile-respecting bijections.
         g = path(9)
         h = relabel(g, {f"v{i}": f"w{(4 * i) % 9}" for i in range(1, 10)})
-        ok, mapping = iso_check(g, h)
-        assert ok
-        assert validate_graph_morphism(GraphMorphism(g, h, mapping)).ok
+        assert iso_check(g, h) is True
+        # Same counts and profile classes as P_9, so both keys are built.
+        assert iso_check(g, disjoint_union(path(6), cycle(3))) is False
 
     def test_iso_tells_large_input_apart_by_invariants(self):
-        assert iso_check(path(9), complete_graph(2)) == (False, None)
+        assert iso_check(path(9), complete_graph(2)) is False
 
     @given(simple_graphs(max_vertices=5), simple_graphs(max_vertices=5))
     @settings(max_examples=40, deadline=None)
     def test_iso_matches_networkx(self, a, b):
-        ours = iso_check(a, b)[0]
+        ours = iso_check(a, b)
         theirs = nx.is_isomorphic(oracles.to_nx(a), oracles.to_nx(b))
         assert ours == theirs
 
@@ -310,13 +292,7 @@ class TestIso:
             b = relabel(a, dict(zip(a.vertices, names)))
         else:
             b = data.draw(hypergraphs(max_vertices=5))
-        ok, mapping = iso_check(a, b)
-        assert ok == oracles.incidence_isomorphic(a, b)
-        if ok:
-            assert sorted(mapping) == list(a.vertices)
-            assert sorted(mapping.values()) == list(b.vertices)
-            images = Counter(frozenset(mapping[v] for v in s) for s in a.edges.values())
-            assert images == Counter(b.edges.values())
+        assert iso_check(a, b) == oracles.incidence_isomorphic(a, b)
 
     def test_iso_matches_incidence_oracle_exhaustively(self):
         # Every hypergraph on four vertices with four distinct edges of
@@ -331,14 +307,14 @@ class TestIso:
         look_alike = 0
         for a, b in itertools.combinations(graphs, 2):
             expected = oracles.incidence_isomorphic(a, b)
-            assert iso_check(a, b)[0] == expected
+            assert iso_check(a, b) == expected
             look_alike += not expected and profile_shape(a) == profile_shape(b)
         assert look_alike == 72
         # Vertex trades between same-size edges keep every profile.
         for a in graphs:
             for b in vertex_trades(a):
                 assert profile_shape(a) == profile_shape(b)
-                assert iso_check(a, b)[0] == oracles.incidence_isomorphic(a, b)
+                assert iso_check(a, b) == oracles.incidence_isomorphic(a, b)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -348,7 +324,7 @@ class TestIso:
         assume(trades)
         b = data.draw(st.sampled_from(trades))
         assert profile_shape(a) == profile_shape(b)
-        assert iso_check(a, b)[0] == oracles.incidence_isomorphic(a, b)
+        assert iso_check(a, b) == oracles.incidence_isomorphic(a, b)
 
     @given(hypergraphs(max_vertices=5))
     @settings(max_examples=60, deadline=None)
@@ -398,13 +374,12 @@ def doubled_matching(pairs):
     return Hypergraph(names, edges)
 
 
-def attained(graph):
-    """The key, and the masks that the form's labelling gives the graph."""
-    key, order, moves = _canonical_form(graph, _profile_classes(graph))
-    position = _labelling(order, moves)
-    assert sorted(position.values()) == list(range(len(graph.vertices)))
-    masks = tuple(sorted(sum(1 << position[v] for v in s) for s in graph.edges.values()))
-    return key, masks, moves
+def identity_code(graph):
+    """The sorted edge masks over the class-major order itself, with no
+    vertex moved: the key's code when no block is searched."""
+    order = [v for _, vs in _profile_classes(graph) for v in vs]
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return tuple(sorted(sum(bit[v] for v in s) for s in graph.edges.values()))
 
 
 class TestCanonicalForm:
@@ -444,42 +419,37 @@ class TestCanonicalForm:
 
     @given(hypergraphs(max_vertices=7, max_edges=7))
     @settings(max_examples=100, deadline=None)
-    def test_labelling_attains_the_key(self, g):
-        key, masks, _ = attained(g)
-        assert masks == key[2]
+    def test_key_is_the_least_encoding(self, g):
+        assert canonical_key(g)[2] == oracles.reference_code(g)
 
     @pytest.mark.parametrize(
         "make, sizes",
         [
             (path, range(1, 10)),
             (cycle, range(3, 8)),
-            (complete_graph, range(1, 10)),
-            (simplex, range(1, 10)),
-            (star, range(1, 10)),
+            (complete_graph, range(1, 9)),
+            (simplex, range(1, 9)),
+            (star, range(1, 9)),
             (doubled_matching, range(1, 5)),
         ],
     )
-    def test_named_labellings_attain_the_key(self, make, sizes):
+    def test_named_keys_are_the_least_encoding(self, make, sizes):
+        # At most 8! bijections each: the brute force takes seconds on K_9,
+        # E_9 and the star on 9 leaves, which the twin-block test covers.
         for n in sizes:
-            key, masks, _ = attained(make(n))
-            assert masks == key[2]
+            g = make(n)
+            assert canonical_key(g)[2] == oracles.reference_code(g)
 
     def test_twin_blocks_are_not_searched(self):
         # K_n, E_n and stars are one twin block per profile, so the key is
-        # the identity encoding of the class-major order, which decodes to
-        # the reference's key.  The reference is run up to K_7 and E_8;
-        # beyond that it takes seconds per graph.
+        # the identity encoding of the class-major order; for n up to 8,
+        # the test above finds that to be the brute-force minimum.
         for n in range(1, 10):
             for g in (complete_graph(n), simplex(n), star(n)):
-                key, masks, moves = attained(g)
-                assert moves == () and masks == key[2]
+                key = canonical_key(g)
+                assert key[2] == identity_code(g)
                 copy = relabel(g, {v: f"x{i}" for i, v in enumerate(reversed(g.vertices))})
                 assert canonical_key(copy) == key
-                if g.edges and (n <= 7 or (n == 8 and len(g.edges) == 1)):
-                    decoded = tuple(
-                        sorted(tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in key[2])
-                    )
-                    assert decoded == oracles.reference_key(g)[2]
 
     def test_searched_blocks_split_like_the_reference(self):
         # Three doubled disjoint edges, C_6 and two disjoint triangles: six
@@ -492,18 +462,16 @@ class TestCanonicalForm:
         assert split_alike(both_keys(g) for g in graphs)
         assert len({canonical_key(g) for g in graphs}) == 5
         for g in graphs:
-            assert attained(g)[2] != ()
+            assert canonical_key(g)[2] == oracles.reference_code(g)
 
     def test_equal_encodings_share_one_search(self):
         # Prefixing every name keeps their order, so both copies put the
         # edges on the same bits; C_6 is one searched block of six.
         for g in (cycle(6), star(3, size=3)):
             copy = relabel(g, {v: f"z{v}" for v in g.vertices})
-            key, masks, moves = attained(g)
+            key = canonical_key(g)
             size = _canonical_code.cache_info().currsize
-            copy_key, copy_masks, copy_moves = attained(copy)
-            assert moves != () and copy_moves == moves
-            assert masks == key[2] and copy_masks == copy_key[2] and copy_key == key
+            assert canonical_key(copy) == key
             assert _canonical_code.cache_info().currsize == size
 
     def test_refusals_count_bijections_before_fixing_twins(self):
@@ -540,7 +508,7 @@ class TestBuilders:
         r2 = triangle_with_tail(2)
         assert len(r2.vertices) == 5
         assert len(r2.edges) == 5
-        assert graph_distance(r2, "v5", "v3") == 2
+        assert checks._triangle_radius(r2) == 2
 
     def test_linear_triangle_shape(self):
         d = linear_triangle()
