@@ -2,8 +2,8 @@
 # The README's command-line examples, each with its documented exit code.
 # Run it from a scratch directory, with `hyperclust` on PATH: it writes
 # line.dot, comma-names.json, quote-names.json, quote-names.dot,
-# quote-names.out, bad-scheme.json and bad-scheme.err into the current
-# directory.
+# quote-names.out, search-7.json, bad-scheme.json, bad-scheme.err,
+# bad-graph.json and bad-graph.err into the current directory.
 #
 #     bash scripts/readme-commands.sh
 set -euo pipefail
@@ -26,6 +26,15 @@ hyperclust check connected-hull --motifs "{E_3}" --graph G_4 --k 2 \
     --extra H_6
 hyperclust witness --motifs "{R_0,R_1,R_2}"
 hyperclust search --max-vertices 9
+# Below 8 vertices the search is decided by proof: exhausted, exhaustively.
+hyperclust search --max-vertices 7 > search-7.json
+python3 - search-7.json <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["outcome"] == "exhausted", report
+assert report["exhaustive_search"] is True, report
+assert "witness" not in report, report
+PY
 hyperclust bench --motif P_3 --sizes 100,200,400 --cap 2
 
 # Vertex names that hold the line graph's separator: {a,b} and {"a,b"} get
@@ -71,3 +80,13 @@ status=0
 hyperclust cluster K_3 --scheme @bad-scheme.json 2> bad-scheme.err || status=$?
 test "$status" -eq 2
 head -n 1 bad-scheme.err | grep -q '^error:'
+
+# A graph file whose vertex list is a string is refused as input (exit 2,
+# one `error:` line), not read as the vertices v, 1 and 0.
+cat > bad-graph.json <<'JSON'
+{"vertices": "v10", "edges": []}
+JSON
+status=0
+hyperclust cluster bad-graph.json --scheme "representable:{E*},k=2" 2> bad-graph.err || status=$?
+test "$status" -eq 2
+head -n 1 bad-graph.err | grep -q '^error:'

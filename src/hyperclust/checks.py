@@ -37,7 +37,6 @@ from .graphs import (
     SizeLimitError,
     _simple_adjacency,
     canonical_key,
-    complete_graph,
     hypergraph_to_json,
     iso_check,
     restrict,
@@ -738,8 +737,9 @@ class FiniteRepWitness:
 def _triangle_radius(graph):
     # The triangle vertices are the images of K_3's embeddings, which lie on
     # 2-edges; one BFS from all of them at once gives every vertex's
-    # distance to the nearest.
-    anchors = set().union(*expansion_edge_sets((complete_graph(3),), graph))
+    # distance to the nearest.  triangle_with_tail(0) is K_3, built once,
+    # so its search plan is built once for every graph.
+    anchors = set().union(*expansion_edge_sets((triangle_with_tail(0),), graph))
     if not anchors:
         raise ValueError(
             f"finite_rep_witness needs a triangle in every motif; "
@@ -862,25 +862,6 @@ def validate_equal_parts_witness(graph):
     }
 
 
-def _exhaustive_equal_parts(bounds):
-    for n in range(bounds.max_vertices + 1):
-        names = _vertex_names(n)
-        universe = []
-        for size in range(1, min(n, bounds.max_edge_size) + 1):
-            universe.extend(itertools.combinations(names, size))
-        top = min(bounds.max_edges, len(universe))
-        for count in range(top + 1):
-            for combo in itertools.combinations(universe, count):
-                edges = {f"e{i + 1}": s for i, s in enumerate(combo)}
-                graph = Hypergraph(names, edges)
-                try:
-                    transcript = validate_equal_parts_witness(graph)
-                except ValueError:
-                    continue
-                return graph, transcript
-    return None, None
-
-
 def _structured_equal_parts(bounds):
     """Sliding windows against a coordinate walk on three bands.
 
@@ -918,24 +899,26 @@ def search_equal_parts_example(bounds=None):
     """Look for a hypergraph whose overlap-2 clustering has two parts both
     equal to the whole vertex set.
 
-    Bounds of up to 4 vertices are searched exhaustively.  Larger bounds
-    get the construction of :func:`_structured_equal_parts`, which needs
-    3m >= 9 vertices, edges of 3 vertices and 6m - 4 edges; where it does
-    not fit, the result is ``exhausted`` with ``exhaustive_search`` false,
-    which claims nothing about those bounds.  A returned witness always
-    carries its own validation transcript; nothing is ever fabricated.
+    No witness has fewer than 8 vertices, whatever its edge sizes, so
+    bounds of at most 7 vertices are decided by that proof: the result is
+    ``exhausted`` with ``exhaustive_search`` true.  Larger bounds get the
+    construction of :func:`_structured_equal_parts`, which needs 3m >= 9
+    vertices, edges of 3 vertices and 6m - 4 edges; where it does not fit,
+    the result is ``exhausted`` with ``exhaustive_search`` false, which
+    claims nothing about those bounds.  A returned witness always carries
+    its own validation transcript; nothing is ever fabricated.
 
-    With edges of at most 3 vertices no witness has fewer than 8 vertices.
-    A spanning overlap-2 component on n >= 3 vertices grows from one
-    triple, and every edge that brings a new vertex shares a pair with the
-    edges before it, so the component covers at least 3 + 2(n - 3) =
-    2n - 3 distinct vertex pairs.  Two components share no pair, or an
-    edge of one would meet an edge of the other in 2 vertices, so
-    4n - 6 <= C(n, 2), which forces n >= 8.
+    The proof.  At k = 2 a one-vertex edge meets no other edge in 2
+    vertices, so it is a component of its own and spans only a graph on
+    one vertex, which has one distinct edge set.  On n >= 2 vertices, take
+    a spanning component's edges in an order where each later edge meets
+    an earlier one in 2 vertices.  The first edge, with s vertices, covers
+    C(s, 2) >= 2s - 3 vertex pairs; every vertex a later edge brings pairs
+    with the 2 vertices it shares, so it adds 2 new pairs, and the
+    component covers at least 2n - 3 distinct pairs.  Two components share
+    no pair, or an edge of one would meet an edge of the other in 2
+    vertices, so 4n - 6 <= C(n, 2), which forces n >= 8.
     """
     bounds = bounds or SearchBounds()
-    if bounds.max_vertices <= 4:
-        witness, transcript = _exhaustive_equal_parts(bounds)
-        return EqualPartsResult(witness, transcript, True, bounds)
     witness, transcript = _structured_equal_parts(bounds)
-    return EqualPartsResult(witness, transcript, False, bounds)
+    return EqualPartsResult(witness, transcript, bounds.max_vertices < 8, bounds)

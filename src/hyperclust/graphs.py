@@ -204,12 +204,33 @@ def hypergraph_to_json(graph):
 
 
 def hypergraph_from_json(data):
+    """The hypergraph a :func:`hypergraph_to_json` object describes.
+
+    Unlike the :class:`Hypergraph` constructor, which turns any name into a
+    string, this refuses with ``ValueError`` a ``vertices`` value that is
+    not a list and a vertex name or edge id that is not a string, so no
+    input is read as something it does not say.
+    """
     try:
-        vertices = data["vertices"]
-        edges = [(e["id"], e["vertices"]) for e in data.get("edges", [])]
+        vertices = _json_names(data["vertices"], "vertices")
+        edges = []
+        for e in data.get("edges", []):
+            eid = e["id"]
+            if not isinstance(eid, str):
+                raise TypeError(f"edge id {eid!r} is not a string")
+            edges.append((eid, _json_names(e["vertices"], f"edge {eid} vertices")))
         return Hypergraph(vertices, edges)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc}") from exc
+
+
+def _json_names(names, what):
+    if not isinstance(names, list):
+        raise TypeError(f"{what} is not a list")
+    for v in names:
+        if not isinstance(v, str):
+            raise TypeError(f"vertex name {v!r} is not a string")
+    return names
 
 
 def valid_hypergraph_from_json(data, source):
@@ -606,9 +627,17 @@ def path(n):
     return _pair_graph(names, [tuple(sorted((names[i], names[i + 1]))) for i in range(n - 1)])
 
 
+@functools.lru_cache(maxsize=256)
 def triangle_with_tail(i):
     """A triangle on v1,v2,v3 with a path of ``i`` extra vertices hanging
-    off v3.  ``i = 0`` gives the plain triangle."""
+    off v3.  ``i = 0`` gives the plain triangle, equal to
+    ``complete_graph(3)``.
+
+    Built once per i, like :func:`simplex`: the ``R*`` family asks for the
+    same members for every graph it clusters, and each member keeps its
+    search plan, so the cache holds the first 256 members, past the 198 of
+    a 200-vertex graph's family.
+    """
     if i < 0:
         raise ValueError("tail length must be non-negative")
     names = [f"v{k}" for k in range(1, i + 4)]

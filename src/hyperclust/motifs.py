@@ -14,7 +14,7 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 
-from .graphs import GraphMorphism, Hypergraph, SizeLimitError, independence_number, name_escapes
+from .graphs import GraphMorphism, Hypergraph, SizeLimitError, name_escapes
 
 
 class BudgetExceededError(Exception):
@@ -26,16 +26,14 @@ class BudgetExceededError(Exception):
     candidates before those tests.  The search runs as its plan compiled to
     nested loops (see :func:`_search`), and a node is the same there: the
     last position, whose candidates are taken in one pass, counts each of
-    them and keeps only those within the budget.  ``found`` counts the
-    embeddings accounted for before the search gave up.  Each
-    representative found stands for its whole Aut(motif) coset, so this is
-    the number of representatives times the motif's automorphism count.
+    them and raises once the count passes the budget.  ``budget`` is the
+    budget that was exceeded; what the search found before it gave up is
+    discarded.
     """
 
-    def __init__(self, budget, found):
+    def __init__(self, budget):
         super().__init__(f"embedding search exceeded its budget of {budget} nodes")
         self.budget = budget
-        self.found = found
 
 
 def _search_order(motif):
@@ -88,18 +86,20 @@ class _Plan:
 
     __slots__ = (
         "order", "sizes", "requests", "needs", "kinds", "slots",
-        "lower", "levels", "group_size", "kernel",
+        "lower", "levels", "kernel",
     )
 
 
 def _plan(motif):
     """The search plan of ``motif``, kept on the motif itself.
 
-    A scheme holds its motifs for as long as it clusters, so however many
-    motifs it has, each plan is built once and never evicted.  Equal motifs
-    built separately, such as the tailed triangles a scheme materialises
-    for every graph, share a plan through the bounded cache on
-    :func:`_build_plan`, behind the slot.
+    This slot is the only plan cache.  A scheme holds its motifs for as
+    long as it clusters, so however many motifs it has, each plan is built
+    once and never evicted.  The family members a scheme materialises for
+    every graph, such as the tailed triangles of ``R*`` and the simplices of
+    ``E*``, are built once per size (see
+    :func:`~hyperclust.graphs.triangle_with_tail`), so each graph reuses the
+    same motif objects and their plans.
     """
     plan = motif._plan
     if plan is None:
@@ -107,7 +107,6 @@ def _plan(motif):
     return plan
 
 
-@functools.lru_cache(maxsize=1024)
 def _build_plan(motif):
     order = tuple(_search_order(motif))
     position = {v: i for i, v in enumerate(order)}
@@ -131,7 +130,7 @@ def _build_plan(motif):
     kinds = {}
     plan.kinds = tuple(kinds.setdefault(need, len(kinds)) for need in needs)
     plan.slots = tuple(position[v] for v in motif.vertices)
-    plan.lower, plan.levels, plan.group_size = _stabilizer_chain(plan, motif)
+    plan.lower, plan.levels = _stabilizer_chain(plan, motif)
     plan.kernel = _compile(plan.requests, plan.lower, False, False) if order else None
     return plan
 
@@ -146,9 +145,11 @@ def _stabilizer_chain(plan, motif):
     transversal of the next stabilizer in it.  Requiring ``order[i]``'s image
     to be below the image of every other orbit member picks exactly one
     embedding from each coset f·Aut, and products of one transversal
-    element per level rebuild the coset.
+    element per level rebuild the coset.  Each level's search pins the
+    positions before i and position i through its ``profile`` argument
+    (see :func:`_pinned`); no other search pins.
 
-    Returns ``(lower, levels, group size)`` as described on :class:`_Plan`.
+    Returns ``(lower, levels)`` as described on :class:`_Plan`.
     """
     order = plan.order
     n = len(order)
@@ -157,7 +158,6 @@ def _stabilizer_chain(plan, motif):
     unconstrained = ((),) * n
     lower = [[] for _ in range(n)]
     levels = []
-    group_size = 1
     # Built once for the chain; at level i, positions before i are pinned.
     fixed = _profile(plan, motif)
     for i in range(n):
@@ -165,16 +165,15 @@ def _stabilizer_chain(plan, motif):
         for w in order[i + 1:]:
             if plan.needs[position[w]] != plan.needs[i]:
                 continue
-            hit = _search(plan, motif, unconstrained, {i: w}, first=True, profile=fixed)
+            hit = _search(plan, motif, unconstrained, first=True, profile=_pinned(fixed, {i: w}))
             if hit:
                 lower[position[w]].append(i)
                 image = dict(zip(order, hit[0]))
                 moves.append(operator.itemgetter(*(sorted_at[image[v]] for v in motif.vertices)))
         if moves:
             levels.append(tuple(moves))
-            group_size *= len(moves) + 1
         fixed = _pinned(fixed, {i: order[i]})
-    return tuple(map(tuple, lower)), tuple(levels), group_size
+    return tuple(map(tuple, lower)), tuple(levels)
 
 
 def _ranked_length(entry):
@@ -231,18 +230,16 @@ def _kernel_source(requests, lower, first, counted):
     def state(stop):
         # A block's arguments: the search's state and the images placed.
         return ", ".join([
-            "plan", "vertices", "index", "through", "table", "profile",
+            "vertices", "index", "through", "table", "profile",
             "budget", "found", "nodes", *images(stop),
         ])
 
     leaf = f"({', '.join(images(n))}{',' if n == 1 else ''})"
 
-    def overrun(depth, kept):
-        # ``kept``: how many embeddings were found before the node that
-        # ran past the budget.
+    def overrun(depth):
         if counted:
             emit(depth, "if nodes > budget:")
-            emit(depth + 1, f"raise BudgetExceededError(budget, {kept} * plan.group_size)")
+            emit(depth + 1, "raise BudgetExceededError(budget)")
 
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -311,7 +308,7 @@ def _kernel_source(requests, lower, first, counted):
                 emit(depth, f"found += [{leaf} for w{i} in {seq} if not ({rejected})]")
                 if counted:
                     emit(depth, "nodes += len(found) - before")
-                overrun(depth, "(len(found) - nodes + budget)")
+                overrun(depth)
                 break
             emit(depth, f"for w{i} in {seq}:")
             emit(depth + 1, f"if {rejected}:")
@@ -319,7 +316,7 @@ def _kernel_source(requests, lower, first, counted):
             depth += 1
             if counted:
                 emit(depth, "nodes += 1")
-            overrun(depth, "len(found)")
+            overrun(depth)
             if i == n - 1:
                 emit(depth, f"found.append({leaf})")
                 emit(depth, "return nodes")
@@ -350,11 +347,10 @@ def _compile(requests, lower, first, counted):
     return kernel
 
 
-def _search(plan, graph, lower, pins=None, first=False, budget=None, profile=None):
+def _search(plan, graph, lower, first=False, budget=None, profile=None):
     """The search kernel: position-ordered image tuples of the embeddings
     of the plan's motif into ``graph`` whose image at i exceeds the images
-    at ``lower[i]`` and equals ``pins[i]`` where pinned; only the first one
-    found when ``first``.
+    at ``lower[i]``; only the first one found when ``first``.
 
     The walk is the plan compiled to Python (see :func:`_kernel_source`):
     one nested ``for`` loop per position, so each placed image is a local
@@ -369,11 +365,11 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None, profile=Non
     only completions of two or more placed images go into a table of this
     call.  The profile test is a filter against the position's profile set,
     left out when every vertex of the graph meets the profile, so no index
-    entry depends on the motif; a pin narrows its position's set to the
-    pinned vertex.  A caller that searches one graph many times may pass a
-    ``profile`` list built once with :func:`_profile` (the stabilizer chain
-    narrows its own with :func:`_pinned`); ``pins`` go on a copy of it.
-    The last position takes all its leaves in one comprehension.
+    entry depends on the motif.  A caller that searches one graph many
+    times may pass a ``profile`` list built once with :func:`_profile`; the
+    stabilizer chain pins positions by narrowing a copy of its list with
+    :func:`_pinned`.  The last position takes all its leaves in one
+    comprehension.
 
     A node is a candidate that passes the injectivity, order and profile
     tests and every closing-edge test; each counts against ``budget``.  The
@@ -391,10 +387,8 @@ def _search(plan, graph, lower, pins=None, first=False, budget=None, profile=Non
     index = graph.search_index()
     if profile is None:
         profile = _profile(plan, graph)
-    if pins:
-        profile = _pinned(profile, pins)
     found = []
-    kernel(plan, graph.vertices, index, index.through, {}, profile, budget, found, 0)
+    kernel(graph.vertices, index, index.through, {}, profile, budget, found, 0)
     return found
 
 
@@ -416,11 +410,11 @@ def _profile(plan, graph):
     return [fitting[kind] for kind in kinds]
 
 
-def _pinned(profile, pins):
-    # A copy of the profile list in which each pinned position admits only
-    # its pin, when that meets the position's profile.
+def _pinned(profile, images):
+    # A copy of the profile list in which each position of ``images``
+    # admits only its image there, when that meets the position's profile.
     profile = list(profile)
-    for i, w in pins.items():
+    for i, w in images.items():
         fits = profile[i]
         profile[i] = frozenset((w,) if fits is None or w in fits else ())
     return profile
@@ -470,8 +464,7 @@ def enumerate_embeddings(motif, graph, budget=None):
     ``budget`` caps the number of nodes of the representative search: the
     candidates that pass the injectivity, order and profile tests and
     close every motif edge they complete.  Overruns raise
-    :class:`BudgetExceededError`, whose ``found`` counts the embeddings the
-    representatives found so far stand for.
+    :class:`BudgetExceededError`.
     """
     images = _representatives(motif, graph, budget)
     if not images:
@@ -618,16 +611,16 @@ def embedding_count_bound(motif, degeneracy_value, n):
     ``n`` vertices and the given degeneracy.
 
     Sums, over acyclic orientations of the motif grouped by sink count t,
-    ``degeneracy**( |motif| - t ) * n**t``; orientations with more sinks
-    than the motif's independence number cannot occur, so the sum is finite
-    and tight in t.
+    ``degeneracy**( |motif| - t ) * n**t``.  No orientation has more sinks
+    than the motif's independence number α, so α is never computed here:
+    an edge leaves one of its two vertices, so two adjacent vertices are
+    never both sinks, and the sinks form an independent set.  The largest t
+    is exactly α, so the bound grows as n**α: orient every edge at a
+    maximum independent set into the set and the other edges along a
+    fixed vertex order; that orientation is acyclic and sinks the whole set.
     """
-    profile = acyclic_orientation_profile(motif)
-    alpha = independence_number(motif)
     size = len(motif.vertices)
     total = 0
-    for sinks, count in profile.items():
-        if sinks > alpha:
-            raise AssertionError("sink count exceeded the independence number")
+    for sinks, count in acyclic_orientation_profile(motif).items():
         total += count * (degeneracy_value ** (size - sinks)) * (n ** sinks)
     return total

@@ -19,6 +19,7 @@ from bisect import bisect_right
 
 import networkx as nx
 
+from hyperclust.checks import _vertex_names, validate_equal_parts_witness
 from hyperclust.components import set_name
 from hyperclust.graphs import (
     _PERM_CAP,
@@ -85,12 +86,12 @@ def _ranked_length(entry):
     return len(entry[0])
 
 
-def reference_search(plan, graph, lower, pins=None, first=False, budget=None, profile=None):
+def reference_search(plan, graph, lower, first=False, budget=None, profile=None):
     """The interpreted search kernel that compiled plans replaced, kept as
     the reference ``hyperclust.motifs._search`` must match: position-ordered
     image tuples of the embeddings of the plan's motif into ``graph`` whose
-    image at i exceeds the images at ``lower[i]`` and equals ``pins[i]``
-    where pinned; only the first one found when ``first``.
+    image at i exceeds the images at ``lower[i]``; only the first one found
+    when ``first``.
 
     An iterative depth-first walk with one candidate cursor per depth.  The
     candidates for position i are the intersection of the vertex sets of
@@ -175,8 +176,6 @@ def reference_search(plan, graph, lower, pins=None, first=False, budget=None, pr
         fits = profile[i]
         if fits is not None:
             walk = filter(fits.__contains__, walk)
-        if pins and i in pins:
-            return iter((pins[i],) if pins[i] in walk else ())
         return walk
 
     used = set()
@@ -191,7 +190,7 @@ def reference_search(plan, graph, lower, pins=None, first=False, budget=None, pr
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget, len(found) * plan.group_size)
+                raise BudgetExceededError(budget)
             image[i] = w
             if i == last:
                 found.append(tuple(image))
@@ -440,6 +439,29 @@ def reference_radius(graph):
             raise ValueError(f"vertex {v!r} cannot reach a triangle; radius undefined")
         worst = max(worst, min(found))
     return worst
+
+
+def reference_equal_parts(bounds):
+    """The first hypergraph within ``bounds`` (a ``SearchBounds``) whose
+    overlap-2 clustering has two parts both equal to the whole vertex set,
+    with its transcript, or ``(None, None)``: every edge-set family on
+    0, 1, ... vertices is tried, fewest edges first, as the package did
+    before it decided small bounds by proof."""
+    for n in range(bounds.max_vertices + 1):
+        names = _vertex_names(n)
+        universe = []
+        for size in range(1, min(n, bounds.max_edge_size) + 1):
+            universe.extend(itertools.combinations(names, size))
+        top = min(bounds.max_edges, len(universe))
+        for count in range(top + 1):
+            for combo in itertools.combinations(universe, count):
+                graph = Hypergraph(names, {f"e{i + 1}": s for i, s in enumerate(combo)})
+                try:
+                    transcript = validate_equal_parts_witness(graph)
+                except ValueError:
+                    continue
+                return graph, transcript
+    return None, None
 
 
 def reference_hull(motifs, graph, corpus, expand=expansion_edge_sets):

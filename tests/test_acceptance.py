@@ -421,13 +421,15 @@ def test_12_collapsing_partitioned_sets_of_sets():
 
 def test_13_search_for_two_spanning_parts():
     """No hypergraph on up to four vertices has two distinct spanning
-    overlap-2 components (checked exhaustively); larger bounds produce a
-    self-validating witness, deterministically."""
+    overlap-2 components (decided by the search's proof, and checked
+    exhaustively by the reference); larger bounds produce a self-validating
+    witness, deterministically."""
     with criterion(13, "two-spanning-parts search contract"):
         small = search_equal_parts_example(SearchBounds(4, 16, 3))
         assert small.outcome == "exhausted"
         assert small.exhaustive
         assert small.witness is None
+        assert oracles.reference_equal_parts(SearchBounds(4, 16, 4)) == (None, None)
 
         found = search_equal_parts_example()
         assert found.outcome == "witness"

@@ -48,7 +48,7 @@ from hyperclust.graphs import (
     simplex,
     triangle_with_tail,
 )
-from hyperclust.motifs import expansion_edge_sets
+from hyperclust.motifs import _build_plan, expansion_edge_sets
 from hyperclust.partitions import PartitionedSet
 from hyperclust.schemes import (
     ComponentScheme,
@@ -60,6 +60,7 @@ from hyperclust.schemes import (
 
 import oracles
 from oracles import relabel
+from test_graphs import hypergraphs
 
 TINY = CorpusBounds(
     max_vertices=2,
@@ -531,6 +532,34 @@ class TestAxiomChecks:
         assert report.passed
         assert report.statistics["morphisms"] == len(small_corpus.morphisms)
 
+    def test_tailed_triangles_share_their_plans(self, small_corpus, monkeypatch):
+        # R* builds each member once, so each member's search plan is built
+        # once over the whole sweep, and the report is the one that members
+        # built afresh for every graph give.
+        scheme = MotifScheme(("R*",), 1)
+        built = []
+
+        def counting(motif):
+            built.append(motif)
+            return _build_plan(motif)
+
+        monkeypatch.setattr("hyperclust.motifs._build_plan", counting)
+        monkeypatch.setattr("hyperclust.schemes.triangle_with_tail", triangle_with_tail.__wrapped__)
+        fresh = check_excisive(scheme, small_corpus).to_json()
+        unshared = len(built)
+        asked = set()
+
+        def member(i):
+            asked.add(i)
+            return triangle_with_tail(i)
+
+        monkeypatch.setattr("hyperclust.schemes.triangle_with_tail", member)
+        triangle_with_tail.cache_clear()
+        built.clear()
+        assert check_excisive(scheme, small_corpus).to_json() == fresh
+        assert len(built) == len(asked) == len({id(m) for m in built})
+        assert asked and unshared > len(built)
+
     def test_excisive_failure_is_replayable(self, small_corpus):
         report = check_excisive(ToyScheme("noprops"), small_corpus)
         assert not report.passed
@@ -824,6 +853,25 @@ class TestEqualPartsSearch:
         assert result.exhaustive
         assert result.witness is None
         assert "witness" not in result.to_json()
+        # Every family of up to 16 edges of up to 4 vertices on up to 4
+        # vertices, tried one by one, holds no witness either.
+        assert oracles.reference_equal_parts(SearchBounds(4, 16, 4)) == (None, None)
+        # Below 8 vertices the proof decides, for edges of any size.
+        for n in (5, 6, 7):
+            bounds = SearchBounds(n, 64, n)
+            assert search_equal_parts_example(bounds).to_json() == {
+                "outcome": "exhausted",
+                "exhaustive_search": True,
+                "bounds": dataclasses.asdict(bounds),
+            }
+
+    @given(st.integers(5, 7).flatmap(lambda n: hypergraphs(
+        max_edges=24, max_edge_size=n, pool=[f"v{i}" for i in range(1, n + 1)]
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_no_graph_below_eight_vertices_is_a_witness(self, graph):
+        with pytest.raises(ValueError, match="not a witness"):
+            validate_equal_parts_witness(graph)
 
     def test_default_bounds_find_a_witness(self):
         result = search_equal_parts_example()
@@ -845,13 +893,13 @@ class TestEqualPartsSearch:
 
     @pytest.mark.parametrize("bounds", [SearchBounds(5, 4, 2), SearchBounds(8, 16, 3)])
     def test_bounds_beyond_both_lanes_claim_nothing(self, bounds):
-        # Past the exhaustive lane's 4 vertices and short of the structured
-        # construction's 9, the search reports exhausted without claiming
-        # to have searched the bounds.
+        # Short of the structured construction's 9 vertices, the search
+        # reports exhausted; it claims to have decided the bounds only below
+        # 8 vertices, where no witness exists, so not at 8.
         data = search_equal_parts_example(bounds).to_json()
         assert data == {
             "outcome": "exhausted",
-            "exhaustive_search": False,
+            "exhaustive_search": {5: True, 8: False}[bounds.max_vertices],
             "bounds": dataclasses.asdict(bounds),
         }
 

@@ -720,11 +720,14 @@ class TestWitness:
 
 class TestSearch:
     def test_exhausted_at_tiny_bounds(self, capsys):
-        code, out, _ = run_cli(capsys, "search", "--max-vertices", "4")
-        assert code == 0
-        data = json.loads(out)
-        assert data["outcome"] == "exhausted"
-        assert data["exhaustive_search"] is True
+        # Every bound below 8 vertices is decided.
+        for max_vertices in ("4", "5", "6", "7"):
+            code, out, err = run_cli(capsys, "search", "--max-vertices", max_vertices)
+            assert (code, err) == (0, "")
+            data = json.loads(out)
+            assert data["outcome"] == "exhausted"
+            assert data["exhaustive_search"] is True
+            assert "witness" not in data
 
     def test_witness_at_default_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "search")
@@ -749,7 +752,7 @@ class TestSearch:
     @pytest.mark.parametrize("max_edges", ["0", "2", "3"])
     def test_few_edges_claim_nothing(self, capsys, max_edges):
         code, out, err = run_cli(
-            capsys, "search", "--max-vertices", "5", "--max-edges", max_edges
+            capsys, "search", "--max-vertices", "8", "--max-edges", max_edges
         )
         assert (code, err) == (0, "")
         data = json.loads(out)

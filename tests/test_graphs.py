@@ -95,11 +95,11 @@ def profile_shape(graph):
 
 
 @st.composite
-def simple_graphs(draw, max_vertices=6):
+def simple_graphs(draw, max_vertices=6, max_edges=None):
     n = draw(st.integers(1, max_vertices))
     names = [f"v{i}" for i in range(1, n + 1)]
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=max_edges)) if pairs else set()
     edges = {f"e{i + 1}": pair for i, pair in enumerate(sorted(chosen))}
     return Hypergraph(names, edges)
 
@@ -164,6 +164,16 @@ class TestHypergraph:
         {"vertices": ["a"], "edges": [{"id": "e"}]},
         {"vertices": 5},
         {"vertices": ["a"], "edges": [{"id": "e1", "vertices": 7}]},
+        # Strings and numbers are not read as names: "v10" is no list of
+        # three vertices, and 1 is not the vertex "1".
+        {"vertices": "v10", "edges": []},
+        {"vertices": {"a": 1}, "edges": []},
+        {"vertices": [1, "1", 2], "edges": []},
+        {"vertices": [None]},
+        {"vertices": ["a", "b"], "edges": [{"id": "e1", "vertices": "ab"}]},
+        {"vertices": ["1"], "edges": [{"id": "e1", "vertices": [1]}]},
+        {"vertices": ["a"], "edges": [{"id": 1, "vertices": ["a"]}]},
+        {"vertices": ["a"], "edges": [{"id": ["e1"], "vertices": ["a"]}]},
     ])
     def test_from_json_rejects_garbage(self, data):
         with pytest.raises(ValueError, match="malformed hypergraph JSON"):

@@ -14,11 +14,13 @@ from hyperclust.graphs import (
     complete_graph,
     cycle,
     disjoint_union,
+    independence_number,
     linear_triangle,
     path,
     random_degenerate_graph,
     restrict,
     simplex,
+    triangle_with_tail,
     validate_graph_morphism,
 )
 from hyperclust import motifs
@@ -102,12 +104,15 @@ def embedding_images(motif_list, graph):
     }
 
 
+def group_size(plan):
+    """|Aut(motif)| as the plan's stabilizer chain has it: the product of
+    the transversal sizes, each level's moves plus the identity."""
+    return math.prod(len(level) + 1 for level in plan.levels)
+
+
 def transversal_product(motif):
     """|Aut(motif)| as the stabilizer chain of a freshly built plan has it."""
-    plan = motifs._build_plan.__wrapped__(motif)
-    size = math.prod(len(level) + 1 for level in plan.levels)
-    assert size == plan.group_size
-    return size
+    return group_size(motifs._build_plan(motif))
 
 
 class TestEnumerate:
@@ -136,8 +141,8 @@ class TestEnumerate:
     def test_budget_trips(self):
         with pytest.raises(BudgetExceededError) as err:
             enumerate_embeddings(path(3), complete_graph(6), budget=10)
-        # Ten nodes find seven representatives; P_3 has two automorphisms.
-        assert err.value.found == 14
+        assert err.value.budget == 10
+        assert str(err.value) == "embedding search exceeded its budget of 10 nodes"
 
     def test_budget_counts_representative_nodes(self):
         # One representative per coset: the increasing placements of E_4's
@@ -146,7 +151,7 @@ class TestEnumerate:
         assert len(enumerate_embeddings(simplex(4), simplex(4), budget=15)) == 24
         with pytest.raises(BudgetExceededError) as err:
             enumerate_embeddings(simplex(4), simplex(4), budget=14)
-        assert err.value.found == 24
+        assert err.value.budget == 14
 
     @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS)
     @pytest.mark.parametrize("motif", SYMMETRIC_MOTIFS.values(), ids=SYMMETRIC_MOTIFS)
@@ -234,27 +239,42 @@ class TestStabilizerChain:
 
         real = motifs._profile
         monkeypatch.setattr(motifs, "_profile", counting)
-        plan = motifs._build_plan.__wrapped__(motif)
+        plan = motifs._build_plan(motif)
         assert built == [motif]
-        assert plan.group_size == size
+        assert group_size(plan) == size
 
     def test_plans_are_shared_per_motif(self):
-        assert motifs._plan(complete_graph(4)) is motifs._plan(complete_graph(4))
+        # The plan is kept on the motif object, and family members are
+        # built once, so every use of a member shares its plan.
+        k4 = complete_graph(4)
+        assert motifs._plan(k4) is motifs._plan(k4)
+        assert triangle_with_tail(2) is triangle_with_tail(2)
+        assert motifs._plan(triangle_with_tail(2)) is triangle_with_tail(2)._plan
 
-    def test_plans_survive_more_motifs_than_the_shared_cache_holds(self):
-        # 1,100 distinct motifs, more than the shared cache's 1,024 slots: a
-        # plan kept only there would be evicted and rebuilt on the second
-        # pass.  Each motif is a path whose vertex names no other test uses.
+    def test_plans_survive_more_motifs_than_the_shared_cache_holds(self, monkeypatch):
+        # 1,100 distinct motifs, more than a bounded cache of 1,024 slots
+        # would hold: each plan is built once, on the first pass, and the
+        # second pass rebuilds none.  Each motif is a path whose vertex
+        # names no other test uses.
+        built = []
+
+        def counting(motif):
+            built.append(motif)
+            return real(motif)
+
+        real = motifs._build_plan
+        monkeypatch.setattr(motifs, "_build_plan", counting)
         paths = []
         for i in range(1100):
             a, b, c = f"t{i}a", f"t{i}b", f"t{i}c"
             paths.append(Hypergraph([a, b, c], {"x": (a, b), "y": (b, c)}))
         scheme = MotifScheme(tuple(paths), 1)
         graphs = [path(4), cycle(5), complete_graph(4)]
-        built = motifs._build_plan.cache_info().misses
         first = [cluster(scheme, g) for g in graphs]
+        assert len(built) == 1100
         assert [cluster(scheme, g) for g in graphs] == first
-        assert motifs._build_plan.cache_info().misses - built == 1100
+        assert len(built) == 1100
+        assert len(set(map(id, built))) == 1100
         assert all(m._plan is not None for m in scheme.motifs)
 
 
@@ -278,10 +298,11 @@ def node_count(motif, graph):
     return high
 
 
-def found_under(motif, graph, budget):
+def assert_overruns(motif, graph, budget):
+    """``budget`` is too small for the search of ``motif`` into ``graph``."""
     with pytest.raises(BudgetExceededError) as err:
         enumerate_embeddings(motif, graph, budget=budget)
-    return err.value.found
+    assert err.value.budget == budget
 
 
 def fresh_copy(graph):
@@ -324,30 +345,30 @@ class TestSearchIndex:
         assert sub._index is not g._index and copy._index is not g._index
         assert copy._index.through == g._index.through
 
-    # Nodes of the representative search, and the embeddings an overrun one
-    # node early reports, pinned so that a change to the kernel's tables
-    # cannot move the point where a budget trips.
+    # Nodes of the representative search, pinned so that a change to the
+    # kernel's tables cannot move the point where a budget trips: one node
+    # fewer overruns.
     @pytest.mark.parametrize(
-        "target, motif, nodes, found",
+        "target, motif, nodes",
         [
-            ("hub", "K_3", 799, 1194),
-            ("hub", "K_4", 791, 0),
-            ("hub", "P_3", 21495, 40992),
-            ("hub", "C_4", 1392, 1584),
-            ("random", "K_3", 404, 78),
-            ("random", "K_4", 290, 0),
-            ("random", "P_3", 1620, 1888),
-            ("random", "C_4", 962, 144),
+            ("hub", "K_3", 799),
+            ("hub", "K_4", 791),
+            ("hub", "P_3", 21495),
+            ("hub", "C_4", 1392),
+            ("random", "K_3", 404),
+            ("random", "K_4", 290),
+            ("random", "P_3", 1620),
+            ("random", "C_4", 962),
         ],
     )
-    def test_node_counts_are_pinned(self, target, motif, nodes, found):
+    def test_node_counts_are_pinned(self, target, motif, nodes):
         if target == "hub":
             graph = _bench_graph("hub", 200, 0, 0)
         else:
             graph = random_degenerate_graph(200, 3, random.Random(7))
         m = build_named(motif)
         assert node_count(m, graph) == nodes
-        assert found_under(m, graph, nodes - 1) == found
+        assert_overruns(m, graph, nodes - 1)
 
     @given(
         st.sampled_from(sorted(SYMMETRIC_MOTIFS)),
@@ -364,29 +385,27 @@ class TestSearchIndex:
                 motif, shared, budget=nodes
             ) == motifs._representatives(motif, fresh_copy(graph))
             if nodes:
-                assert found_under(motif, shared, nodes - 1) == found_under(
-                    motif, fresh_copy(graph), nodes - 1
-                )
+                assert_overruns(motif, shared, nodes - 1)
+                assert_overruns(motif, fresh_copy(graph), nodes - 1)
 
     def test_a_candidate_that_fails_the_profile_is_no_node(self):
         # The tailed triangle places its degree-3 corner c first, then a,
         # which must have degree 2.  Into a triangle x, y, z with a pendant
         # u on x, u closes the edge {c, a} but has degree 1.  Nodes: x; y,
         # z and u for a, of which u fails; z for b; u for d.  Only y
-        # reaches a leaf, and the automorphism swapping a and b doubles it.
+        # reaches a leaf, so five nodes finish and four overrun.
         motif = Hypergraph("abcd", {"e1": "ab", "e2": "bc", "e3": "ca", "e4": "cd"})
         target = Hypergraph("uxyz", {"f1": "xy", "f2": "xz", "f3": "xu", "f4": "yz"})
         assert motifs._representatives(motif, target, budget=5) == [("y", "z", "x", "u")]
-        assert found_under(motif, target, 4) == 2
+        assert_overruns(motif, target, 4)
 
 
 def outcome(search, plan, graph, lower, **options):
-    """What one search returns, or the embedding count its budget error
-    reports."""
+    """What one search returns, or the budget it overran."""
     try:
         return search(plan, graph, lower, **options)
     except BudgetExceededError as err:
-        return ("over budget", err.found)
+        return ("over budget", err.budget)
 
 
 def assert_searches_agree(plan, graph, lower, **options):
@@ -399,13 +418,13 @@ def chain(plan):
     does to the tuple 0, 1, ..."""
     identity = tuple(range(len(plan.order)))
     levels = [[move(identity) for move in level] for level in plan.levels]
-    return plan.order, plan.lower, levels, plan.group_size
+    return plan.order, plan.lower, levels, group_size(plan)
 
 
 def reference_chain(motif):
     """The stabilizer chain that the reference search builds for ``motif``."""
     with mock.patch.object(motifs, "_search", oracles.reference_search):
-        return chain(motifs._build_plan.__wrapped__(motif))
+        return chain(motifs._build_plan(motif))
 
 
 def kernel_sources(plan):
@@ -443,7 +462,7 @@ class TestCompiledSearch:
     def test_small_corpus_chains_match_the_reference(self, corpus):
         small = [g for g in corpus.graphs if len(g.vertices) <= 4]
         assert len(small) == 434
-        compiled = [chain(motifs._build_plan.__wrapped__(g)) for g in small]
+        compiled = [chain(motifs._build_plan(g)) for g in small]
         assert compiled == [reference_chain(g) for g in small]
 
     @given(
@@ -454,7 +473,7 @@ class TestCompiledSearch:
     )
     @settings(max_examples=150, deadline=None)
     def test_hypergraphs_search_like_the_reference(self, motif, graph, budget, rng):
-        plan = motifs._build_plan.__wrapped__(motif)
+        plan = motifs._build_plan(motif)
         assert chain(plan) == reference_chain(motif)
         n = len(plan.order)
         unconstrained = ((),) * n
@@ -465,13 +484,14 @@ class TestCompiledSearch:
             for i in range(n)
             if graph.vertices and rng.random() < 0.5
         }
+        pinned = motifs._pinned(motifs._profile(plan, graph), pins)
         for lower in (plan.lower, unconstrained, scrambled):
             for first in (False, True):
                 assert_searches_agree(plan, graph, lower, first=first)
                 assert_searches_agree(plan, graph, lower, first=first, budget=budget)
-                assert_searches_agree(plan, graph, lower, pins=pins, first=first)
+                assert_searches_agree(plan, graph, lower, first=first, profile=pinned)
                 assert_searches_agree(
-                    plan, graph, lower, pins=pins, first=first, budget=budget
+                    plan, graph, lower, first=first, budget=budget, profile=pinned
                 )
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_MOTIFS))
@@ -493,7 +513,8 @@ class TestCompiledSearch:
                 reference = outcome(
                     oracles.reference_search, plan, graph, plan.lower, budget=nodes - 1
                 )
-                assert reference == ("over budget", found_under(motif, graph, nodes - 1))
+                assert reference == ("over budget", nodes - 1)
+                assert_overruns(motif, graph, nodes - 1)
 
     def test_plans_past_the_nesting_limit_search_like_the_reference(self):
         # CPython nests at most 20 blocks in one function, so both motifs
@@ -514,7 +535,7 @@ class TestCompiledSearch:
             (scattered, [scattered, crowded]),
         ]
         for motif, targets in cases:
-            plan = motifs._build_plan.__wrapped__(motif)
+            plan = motifs._build_plan(motif)
             assert "_block1" in plan.kernel.source
             assert chain(plan) == reference_chain(motif)
             for graph in targets:
@@ -523,9 +544,11 @@ class TestCompiledSearch:
                 for budget in (0, len(found) // 2, len(found)):
                     assert_searches_agree(plan, graph, plan.lower, budget=budget)
                 assert_searches_agree(plan, graph, plan.lower, first=True)
-                pins = {0: found[-1][0], 20: found[-1][20]}
-                assert_searches_agree(plan, graph, plan.lower, pins=pins, first=True)
-                assert_searches_agree(plan, graph, plan.lower, pins=pins)
+                pinned = motifs._pinned(
+                    motifs._profile(plan, graph), {0: found[-1][0], 20: found[-1][20]}
+                )
+                assert_searches_agree(plan, graph, plan.lower, first=True, profile=pinned)
+                assert_searches_agree(plan, graph, plan.lower, profile=pinned)
 
     def test_hostile_vertex_names_search_and_stay_out_of_the_source(self):
         a, b, c, d, e, f, g, h = HOSTILE_NAMES
@@ -537,7 +560,7 @@ class TestCompiledSearch:
             "y6": (b, d), "y7": (a, d), "y8": (e, f), "y9": (f, g, h), "y10": (g, a, d),
             "y11": (c, e), "y12": (e, b, d), "y13": (b, e),
         })
-        plan = motifs._build_plan.__wrapped__(motif)
+        plan = motifs._build_plan(motif)
         assert chain(plan) == reference_chain(motif)
         found = motifs._search(plan, graph, plan.lower)
         assert found == oracles.reference_search(plan, graph, plan.lower)
@@ -552,8 +575,8 @@ class TestCompiledSearch:
         renamed = Hypergraph("wxyz", {
             f"f{i}": pair for i, pair in enumerate(("wx", "wy", "wz", "xy", "xz", "yz"))
         })
-        first = motifs._build_plan.__wrapped__(complete_graph(4))
-        second = motifs._build_plan.__wrapped__(renamed)
+        first = motifs._build_plan(complete_graph(4))
+        second = motifs._build_plan(renamed)
         assert first.kernel is second.kernel
 
 
@@ -674,6 +697,18 @@ class TestCountBound:
         assert embedding_count_bound(complete_graph(2), 1, 10) == 20
         assert embedding_count_bound(complete_graph(3), 2, 10) == 240
         assert embedding_count_bound(path(3), 1, 10) == 130
+        # 22 vertices, more than independence_number searches, but one edge,
+        # so two orientations, each with 21 sinks.
+        names = [f"x{i:02}" for i in range(22)]
+        motif = Hypergraph(names, {"e": names[:2]})
+        assert embedding_count_bound(motif, 3, 10) == 2 * 3 * 10**21
+
+    @given(simple_graphs(max_vertices=8, max_edges=12))
+    @settings(max_examples=60, deadline=None)
+    def test_most_sinks_is_the_independence_number(self, g):
+        # The bound's exponent: no orientation sinks more than an
+        # independent set, and some orientation sinks a largest one.
+        assert max(acyclic_orientation_profile(g)) == independence_number(g)
 
     def test_bound_dominates_on_small_hosts(self):
         for host in (complete_graph(5), cycle(6), disjoint_union(path(3), cycle(3))):
