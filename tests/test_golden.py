@@ -4,9 +4,10 @@
 and the exact stdout it gave when it was recorded.  The README's `check`
 examples run at the default corpus bounds; the hull grid runs `hull` and
 `connected-hull` at k = 1, 2 and inf at small bounds, next to four failing
-sweeps.  The commands built on overlap components follow: `linegraph`, with
-the DOT drawing it writes recorded as well, `cluster` under the classic and
-toy component rules, `search` and `witness`.
+sweeps and two functorial sweeps at the default bounds.  The commands built
+on overlap components follow: `linegraph`, with the DOT drawing it writes
+recorded as well, `cluster` under the classic and toy component rules,
+`search` and `witness`.
 
 Re-record only when a change to the output is intended, and say so:
 
@@ -73,6 +74,13 @@ SWEEPS = (
      "--scheme2", "representable:{E*},k=2", "--limit", "0", *SMALL),
 )
 
+# Functorial sweeps over every corpus morphism at the default bounds: one
+# failing with more counterexamples than the default limit shows, one passing.
+FUNCTORIAL = (
+    ("check", "functorial", "--scheme", "toy:noprops"),
+    ("check", "functorial", "--scheme", "representable:{E*},k=2"),
+)
+
 # A trailing --dot gets a file to write, whose contents are recorded too.
 COMPONENTS = (
     ("linegraph", "P_3", "--k", "1", "--dot"),
@@ -87,7 +95,7 @@ COMPONENTS = (
     ("witness", "--motifs", "{R_0,R_1,R_2}"),
 )
 
-CASES = README_CHECKS + HULL_GRID + SWEEPS + COMPONENTS
+CASES = README_CHECKS + HULL_GRID + SWEEPS + FUNCTORIAL + COMPONENTS
 
 
 def _run(argv):
