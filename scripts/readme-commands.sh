@@ -89,4 +89,4 @@ JSON
 status=0
 hyperclust cluster bad-graph.json --scheme "representable:{E*},k=2" 2> bad-graph.err || status=$?
 test "$status" -eq 2
-head -n 1 bad-graph.err | grep -q '^error:'
+head -n 1 bad-graph.err | grep -q '^error: bad-graph.json: malformed hypergraph JSON:'

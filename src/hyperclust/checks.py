@@ -43,7 +43,7 @@ from .graphs import (
     triangle_with_tail,
 )
 from .motifs import enumerate_embeddings, expansion_edge_sets
-from .partitions import is_refinement
+from .partitions import is_refinement, uncovered_parts
 from .schemes import MotifScheme, cluster, scheme_label
 
 _CACHE_VERSION = 3
@@ -542,25 +542,26 @@ def check_excisive(scheme, corpus, cache=None):
 
 
 def check_functorial(scheme, corpus, cache=None):
-    """Every corpus morphism must send parts into parts."""
+    """Every corpus morphism must send parts into parts.  A run of morphisms
+    with one source and target reads both clusterings once; the corpus keeps
+    a pair's morphisms together, and split runs would give the same report."""
     cache = cache or ClusterCache()
     bad = []
-    for morphism in corpus.morphisms:
-        source_parts = cache.parts(scheme, morphism.source)
-        if not source_parts.parts:
+    pairs = itertools.groupby(corpus.morphisms, key=lambda m: (m.source, m.target))
+    for (source, target), run in pairs:
+        clustered = cache.parts(scheme, source)
+        if not clustered.parts:
             continue
-        target_parts = cache.parts(scheme, morphism.target).parts
-        vmap = morphism.map
-        for part in source_parts.sorted_parts():
-            image = frozenset(vmap[v] for v in part)
-            if not any(image <= q for q in target_parts):
-                entry = {
-                    "source": _graph_ref(corpus, morphism.source),
-                    "target": _graph_ref(corpus, morphism.target),
-                    "map": dict(sorted(vmap.items())),
+        source_parts = clustered.sorted_parts()
+        target_parts = cache.parts(scheme, target).parts
+        for morphism in run:
+            for part, _ in uncovered_parts(source_parts, target_parts, morphism.map):
+                bad.append({
+                    "source": _graph_ref(corpus, source),
+                    "target": _graph_ref(corpus, target),
+                    "map": dict(sorted(morphism.map.items())),
                     "part": list(part),
-                }
-                bad.append(entry)
+                })
     return _sweep_report(
         "functorial", [scheme], corpus, bad, morphisms=len(corpus.morphisms)
     )

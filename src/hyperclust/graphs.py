@@ -234,10 +234,13 @@ def _json_names(names, what):
 
 
 def valid_hypergraph_from_json(data, source):
-    """:func:`hypergraph_from_json` for input from outside the program: a
-    graph that :func:`validate_hypergraph` faults is refused with a
-    ``ValueError`` that names ``source`` and the first violation."""
-    graph = hypergraph_from_json(data)
+    """:func:`hypergraph_from_json` for input from outside the program.
+    Malformed JSON, and a graph that :func:`validate_hypergraph` faults,
+    are refused with a ``ValueError`` that names ``source`` first."""
+    try:
+        graph = hypergraph_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
     report = validate_hypergraph(graph)
     if not report.ok:
         raise ValueError(f"{source}: {report.violations[0]}")
@@ -324,14 +327,6 @@ def validate_graph_morphism(morphism):
                 "which is not a target edge"
             )
     return Validation(bad)
-
-
-def compose_morphisms(first, second):
-    """The composite of ``first: A -> B`` with ``second: B -> C``."""
-    if first.target != second.source:
-        raise ValueError("composition undefined: middle graphs differ")
-    combined = {v: second.map[w] for v, w in first.map.items()}
-    return GraphMorphism(first.source, second.target, combined)
 
 
 def restrict(graph, part):
@@ -741,17 +736,6 @@ def fused_triples_host():
             "h4": ("v4", "v5", "v6"),
         },
     )
-
-
-def disjoint_union(left, right):
-    """Disjoint union; vertices and edge ids get .l/.r suffixes."""
-    vertices = [f"{v}.l" for v in left.vertices] + [f"{v}.r" for v in right.vertices]
-    edges = {}
-    for eid, s in left.edges.items():
-        edges[f"{eid}.l"] = frozenset(f"{v}.l" for v in s)
-    for eid, s in right.edges.items():
-        edges[f"{eid}.r"] = frozenset(f"{v}.r" for v in s)
-    return Hypergraph(vertices, edges)
 
 
 def random_degenerate_graph(n, cap, rng):

@@ -20,6 +20,12 @@ def _element_key(x):
     return (0, x)
 
 
+def _names(elements):
+    # Set elements by sorted members: str(frozenset) follows the hash order.
+    keys = sorted(map(_element_key, elements))
+    return ", ".join("{" + ", ".join(x) + "}" if kind else x for kind, x in keys)
+
+
 def _as_element(x):
     if isinstance(x, str):
         return x
@@ -41,7 +47,7 @@ class PartitionedSet:
             p = frozenset(_as_element(x) for x in part)
             stray = p - universe
             if stray:
-                names = ", ".join(sorted(map(str, stray)))
+                names = _names(stray)
                 raise ValueError(f"part contains elements outside the underlying set: {names}")
             cooked.add(p)
         self.elements = elems
@@ -59,10 +65,12 @@ class PartitionedSet:
         return p
 
     def sorted_parts(self):
-        """Parts as sorted tuples, ordered lexicographically."""
-        return sorted(
-            (tuple(sorted(p, key=_element_key)) for p in self.parts),
-        )
+        """Parts as sorted tuples, ordered lexicographically; set elements
+        compare by their members, as frozensets compare by inclusion."""
+        parts = [tuple(sorted(p, key=_element_key)) for p in self.parts]
+        if self.elements and isinstance(self.elements[0], frozenset):
+            return sorted(parts, key=lambda part: tuple(map(_element_key, part)))
+        return sorted(parts)
 
     def __eq__(self, other):
         if not isinstance(other, PartitionedSet):
@@ -86,29 +94,31 @@ class PartitionMorphism:
         vm = {_as_element(a): _as_element(b) for a, b in pairs}
         missing = [x for x in source.elements if x not in vm]
         if missing:
-            names = ", ".join(str(x) for x in missing[:5])
-            raise ValueError(f"map is not total, undefined on: {names}")
+            raise ValueError(f"map is not total, undefined on: {_names(missing[:5])}")
         stray = set(vm.values()) - set(target.elements)
         if stray:
-            names = ", ".join(sorted(map(str, stray)))
-            raise ValueError(f"map has values outside the target: {names}")
+            raise ValueError(f"map has values outside the target: {_names(stray)}")
         self.source = source
         self.target = target
         self.map = vm
 
-    def image(self, part):
-        return frozenset(self.map[x] for x in part)
+
+def uncovered_parts(parts, into, vmap=None):
+    """Yield ``(part, image)`` for each of ``parts``, in order, whose image
+    under ``vmap`` (None: the identity) lies in no member of the set ``into``."""
+    for part in parts:
+        image = frozenset(part) if vmap is None else frozenset(vmap[x] for x in part)
+        if image not in into and not any(image <= q for q in into):
+            yield part, image
 
 
 def validate_partition_morphism(morphism):
-    """Every source part must land inside some target part."""
-    bad = []
-    for part in morphism.source.sorted_parts():
-        image = morphism.image(part)
-        if not any(image <= q for q in morphism.target.parts):
-            names = ", ".join(sorted(map(str, image)))
-            bad.append(f"image of a part is covered by no target part: {{{names}}}")
-    return Validation(bad)
+    """One violation per source part, in sorted order, that no target part covers."""
+    parts = morphism.source.sorted_parts()
+    return Validation(
+        f"image of a part is covered by no target part: {{{_names(image)}}}"
+        for _, image in uncovered_parts(parts, morphism.target.parts, morphism.map)
+    )
 
 
 def remove_spurious(partitioned):
@@ -124,14 +134,12 @@ def is_refinement(finer, coarser):
     appears among ``finer``'s parts.
 
     Returns ``(ok, offender)`` where the offender is the first failing part
-    in sorted order, or None.
+    in sorted order, or None.  The first half is :func:`uncovered_parts`.
     """
     if finer.elements != coarser.elements:
         raise ValueError("refinement compares partitioned sets over one underlying set")
-    for part in finer.sorted_parts():
-        p = frozenset(part)
-        if not any(p <= q for q in coarser.parts):
-            return False, p
+    for _, image in uncovered_parts(finer.sorted_parts(), coarser.parts):
+        return False, image
     for part in coarser.sorted_parts():
         p = frozenset(part)
         if p not in finer.parts:
@@ -164,10 +172,3 @@ def clustering_to_json(partitioned):
         "underlying": list(partitioned.elements),
         "parts": [list(p) for p in partitioned.sorted_parts()],
     }
-
-
-def clustering_from_json(data):
-    try:
-        return PartitionedSet(data["underlying"], data.get("parts", []))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed clustering JSON: {exc}") from exc

@@ -4,9 +4,10 @@ Everything here is deliberately naive: permutation scans, brute-force
 subset enumeration, thin wrappers over networkx, or the interpreted
 embedding search that the compiled one replaced.  The library under test
 must agree with these on every graph small enough to afford them.  The
-helpers at the end (relabelling, the expansion edge-id parser, morphism
-JSON round trips, the morphism validity sweep) serve only the tests, so
-they live here rather than in the package.
+helpers at the end (relabelling, disjoint unions, morphism composition,
+the expansion edge-id parser, morphism and clustering JSON readers, the
+morphism validity sweep) serve only the tests, so they live here rather
+than in the package.
 """
 
 import collections
@@ -19,7 +20,13 @@ from bisect import bisect_right
 
 import networkx as nx
 
-from hyperclust.checks import _vertex_names, validate_equal_parts_witness
+from hyperclust.checks import (
+    ClusterCache,
+    _graph_ref,
+    _sweep_report,
+    _vertex_names,
+    validate_equal_parts_witness,
+)
 from hyperclust.components import set_name
 from hyperclust.graphs import (
     _PERM_CAP,
@@ -30,6 +37,7 @@ from hyperclust.graphs import (
     validate_graph_morphism,
 )
 from hyperclust.motifs import BudgetExceededError, expansion_edge_sets
+from hyperclust.partitions import PartitionedSet
 
 
 def to_nx(graph):
@@ -539,9 +547,35 @@ def reference_atlas_extras(bounds):
     return out
 
 
+def reference_functorial(scheme, corpus, cache=None):
+    """The functorial sweep one morphism at a time: each reads both
+    clusterings afresh and scans every target part for each image."""
+    cache = cache or ClusterCache()
+    bad = []
+    for morphism in corpus.morphisms:
+        source_parts = cache.parts(scheme, morphism.source)
+        if not source_parts.parts:
+            continue
+        target_parts = cache.parts(scheme, morphism.target).parts
+        vmap = morphism.map
+        for part in source_parts.sorted_parts():
+            image = frozenset(vmap[v] for v in part)
+            if not any(image <= q for q in target_parts):
+                entry = {
+                    "source": _graph_ref(corpus, morphism.source),
+                    "target": _graph_ref(corpus, morphism.target),
+                    "map": dict(sorted(vmap.items())),
+                    "part": list(part),
+                }
+                bad.append(entry)
+    return _sweep_report(
+        "functorial", [scheme], corpus, bad, morphisms=len(corpus.morphisms)
+    )
+
+
 # ---------------------------------------------------------------------------
-# test-only helpers: relabelling, edge-id parsing, morphism round trips and
-# corpus self-checks
+# test-only helpers: relabelling, disjoint unions, composition, edge-id
+# parsing, JSON readers and corpus self-checks
 
 def relabel(graph, mapping):
     """A copy with vertices renamed through ``mapping`` (a bijection)."""
@@ -550,6 +584,25 @@ def relabel(graph, mapping):
         raise ValueError("relabelling must stay injective")
     edges = {eid: frozenset(target[v] for v in s) for eid, s in graph.edges.items()}
     return Hypergraph(target.values(), edges)
+
+
+def disjoint_union(left, right):
+    """Disjoint union; vertices and edge ids get .l/.r suffixes."""
+    vertices = [f"{v}.l" for v in left.vertices] + [f"{v}.r" for v in right.vertices]
+    edges = {}
+    for eid, s in left.edges.items():
+        edges[f"{eid}.l"] = frozenset(f"{v}.l" for v in s)
+    for eid, s in right.edges.items():
+        edges[f"{eid}.r"] = frozenset(f"{v}.r" for v in s)
+    return Hypergraph(vertices, edges)
+
+
+def compose_morphisms(first, second):
+    """The composite of ``first: A -> B`` with ``second: B -> C``."""
+    if first.target != second.source:
+        raise ValueError("composition undefined: middle graphs differ")
+    combined = {v: second.map[w] for v, w in first.map.items()}
+    return GraphMorphism(first.source, second.target, combined)
 
 
 _EDGE_ID = re.compile(r"^m(\d+)\[(.*)\]$")
@@ -589,6 +642,14 @@ def morphism_from_json(data, source, target):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed morphism JSON: {exc}") from exc
     return GraphMorphism(source, target, vm)
+
+
+def clustering_from_json(data):
+    """The partitioned set a ``clustering_to_json`` object describes."""
+    try:
+        return PartitionedSet(data["underlying"], data.get("parts", []))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed clustering JSON: {exc}") from exc
 
 
 def find_invalid_morphisms(corpus):

@@ -32,13 +32,13 @@ from hyperclust.checks import (
     search_equal_parts_example,
     validate_equal_parts_witness,
 )
+from hyperclust.components import INFINITE
 from hyperclust.graphs import (
     GraphMorphism,
     Hypergraph,
     SizeLimitError,
     build_named,
     complete_graph,
-    disjoint_union,
     fused_triples,
     hypergraph_from_json,
     hypergraph_to_json,
@@ -54,12 +54,14 @@ from hyperclust.schemes import (
     ComponentScheme,
     MotifScheme,
     SharedEdgeScheme,
+    TOY_RULES,
     ToyScheme,
     cluster,
+    scheme_label,
 )
 
 import oracles
-from oracles import relabel
+from oracles import disjoint_union, relabel
 from test_graphs import hypergraphs
 
 TINY = CorpusBounds(
@@ -520,6 +522,15 @@ class TestFastPathsOnTheDefaultCorpus:
                 assert inclusion == GraphMorphism(sub, graph, {v: v for v in part})
 
 
+# Passing and failing schemes for the functorial sweep: overlap clusterings
+# at three thresholds, a shared-edge scheme and every toy rule.
+FUNCTORIAL_SCHEMES = (
+    *(MotifScheme(("E*",), k) for k in (1, 2, INFINITE)),
+    SharedEdgeScheme(build_named("K_3")),
+    *(ToyScheme(rule) for rule in TOY_RULES),
+)
+
+
 class TestAxiomChecks:
     def test_excisive_passes_for_overlap_clustering(self, small_corpus):
         report = check_excisive(MotifScheme(("E*",), 2), small_corpus)
@@ -586,6 +597,12 @@ class TestAxiomChecks:
         target_parts = cluster(scheme, target).parts
         assert not any(image <= q for q in target_parts)
         assert frozenset(entry["part"]) in cluster(scheme, source).parts
+
+    @pytest.mark.parametrize("scheme", FUNCTORIAL_SCHEMES, ids=scheme_label)
+    def test_functorial_matches_the_per_morphism_reference(self, corpus, scheme):
+        cache = ClusterCache()
+        want = oracles.reference_functorial(scheme, corpus, cache).to_json()
+        assert check_functorial(scheme, corpus, cache).to_json() == want
 
     def test_refines_is_reflexive(self, small_corpus):
         scheme = MotifScheme(("E*",), 2)

@@ -959,6 +959,13 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_malformed_graph_json_names_its_file(self, capsys, tmp_path):
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps({"vertices": "v10", "edges": []}))
+        code, out, err = run_cli(capsys, "cluster", str(target), "--scheme", "classic")
+        message = f"{target}: malformed hypergraph JSON: vertices is not a list"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("scheme, message", [
         pytest.param({"kind": "toy"}, "malformed scheme JSON: 'id'", id="toy-no-id"),
         pytest.param(
@@ -983,6 +990,11 @@ class TestErrorPaths:
             {"kind": "representable", "motifs": [_motif(["a", "z"])]},
             "scheme motif: edge e1 references unknown vertex z",
             id="representable-unknown-vertex",
+        ),
+        pytest.param(
+            {"kind": "representable", "motifs": [{"vertices": "ab", "edges": []}]},
+            "scheme motif: malformed hypergraph JSON: vertices is not a list",
+            id="motif-vertices-not-a-list",
         ),
         pytest.param(
             {"kind": "representable", "motifs": 3},

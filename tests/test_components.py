@@ -9,7 +9,6 @@ from hyperclust.graphs import (
     Hypergraph,
     complete_graph,
     cycle,
-    disjoint_union,
     path,
     simplex,
 )
@@ -29,6 +28,7 @@ from hyperclust.partitions import PartitionedSet, is_non_overlapping
 from hyperclust.schemes import MotifScheme, cluster
 
 import oracles
+from oracles import disjoint_union
 from test_graphs import COMMA_NAMES, hypergraphs
 
 thresholds = st.sampled_from([1, 2, 3, INFINITE])

@@ -18,11 +18,9 @@ from hyperclust.graphs import (
     build_named,
     canonical_key,
     complete_graph,
-    compose_morphisms,
     corner_glued_pair,
     cycle,
     degeneracy,
-    disjoint_union,
     edge_glued_chain,
     fused_triples,
     fused_triples_host,
@@ -41,7 +39,7 @@ from hyperclust.graphs import (
 )
 
 import oracles
-from oracles import relabel
+from oracles import compose_morphisms, disjoint_union, relabel
 
 
 # Opt-in vertex names, all used, containing the separator of set_name: the

@@ -13,7 +13,6 @@ from hyperclust.graphs import (
     build_named,
     complete_graph,
     cycle,
-    disjoint_union,
     independence_number,
     linear_triangle,
     path,
@@ -37,7 +36,7 @@ from hyperclust.motifs import (
 from hyperclust.schemes import MotifScheme, SharedEdgeScheme, cluster
 
 import oracles
-from oracles import expansion_provenance
+from oracles import disjoint_union, expansion_provenance
 from test_graphs import hypergraphs, simple_graphs
 
 # Motifs with large automorphism groups, and ones whose automorphisms are

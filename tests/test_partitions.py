@@ -1,18 +1,27 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperclust
 from hyperclust.partitions import (
     PartitionMorphism,
     PartitionedSet,
-    clustering_from_json,
     clustering_to_json,
     is_non_overlapping,
     is_refinement,
     part_union,
     remove_spurious,
+    uncovered_parts,
     validate_partition_morphism,
 )
+
+from oracles import clustering_from_json
 
 
 @st.composite
@@ -43,6 +52,36 @@ class TestPartitionedSet:
         p = PartitionedSet([{"a", "b"}, {"b", "c"}], [[{"a", "b"}]])
         assert frozenset({"a", "b"}) in p.elements
         assert p.sorted_parts() == [(frozenset({"a", "b"}),)]
+
+    def test_set_valued_part_order_ignores_the_hash_seed(self):
+        # Four pairwise incomparable frozensets: sorting them as frozensets
+        # would keep whatever order hashing gave the parts.
+        script = (
+            "import json\n"
+            "from hyperclust.partitions import PartitionMorphism, PartitionedSet,"
+            " validate_partition_morphism\n"
+            "sets = [{'1', '2'}, {'2', '3'}, {'3', '4'}, {'0', '9'}]\n"
+            "p = PartitionedSet(sets, [[s] for s in sets])\n"
+            "parts = [[sorted(x) for x in part] for part in p.sorted_parts()]\n"
+            "m = PartitionMorphism(p, PartitionedSet(sets), {x: x for x in p.elements})\n"
+            "print(json.dumps([parts, validate_partition_morphism(m).violations]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hyperclust.__file__).parents[1]))
+        outputs = set()
+        for seed in range(1, 7):
+            env["PYTHONHASHSEED"] = str(seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        parts, violations = json.loads(outputs.pop())
+        assert parts == [[["0", "9"]], [["1", "2"]], [["2", "3"]], [["3", "4"]]]
+        assert violations == [
+            f"image of a part is covered by no target part: {{{{{pair}}}}}"
+            for pair in ("0, 9", "1, 2", "2, 3", "3, 4")
+        ]
 
     @given(partitioned_sets())
     def test_json_round_trip(self, p):
@@ -100,6 +139,31 @@ class TestRefinement:
     @given(partitioned_sets())
     def test_every_partitioned_set_refines_itself(self, p):
         assert is_refinement(p, p) == (True, None)
+
+
+class TestUncoveredParts:
+    @pytest.mark.parametrize("parts, into, vmap, uncovered", [
+        pytest.param(
+            [("a", "b"), ("a", "c"), ("c",)], ["xy", "z"], {"a": "x", "b": "y", "c": "z"},
+            [(("a", "c"), "xz")], id="map",
+        ),
+        pytest.param(
+            [("a",), ("a", "b"), ("b", "c")], ["ab"], None, [(("b", "c"), "bc")],
+            id="identity",
+        ),
+        pytest.param([("a", "b")], ["xy"], {"a": "x", "b": "y"}, [], id="image-is-a-part"),
+        pytest.param([("a", "b")], ["c", "abc"], None, [], id="image-inside-a-larger-part"),
+        pytest.param(
+            [("a", "b")], ["a", "b"], None, [(("a", "b"), "ab")], id="image-inside-no-part"
+        ),
+        pytest.param(
+            [(), ("a",)], [], None, [((), ""), (("a",), "a")], id="empty-into"
+        ),
+    ])
+    def test_yields_each_part_no_member_covers(self, parts, into, vmap, uncovered):
+        into = set(map(frozenset, into))
+        want = [(part, frozenset(image)) for part, image in uncovered]
+        assert list(uncovered_parts(parts, into, vmap)) == want
 
 
 class TestOverlap:

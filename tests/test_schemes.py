@@ -8,7 +8,6 @@ from hyperclust.graphs import (
     complete_graph,
     corner_glued_pair,
     cycle,
-    disjoint_union,
     edge_glued_chain,
     fused_triples,
     fused_triples_host,
@@ -34,6 +33,7 @@ from hyperclust.schemes import (
 )
 
 import oracles
+from oracles import disjoint_union
 from test_components import thresholds
 from test_graphs import hypergraphs, simple_graphs
 
