@@ -332,8 +332,8 @@ def validate_graph_morphism(morphism):
 def restrict(graph, part):
     """Sub-hypergraph on ``part``: the edges lying entirely inside it, with
     their original ids.  Returns the subgraph and the inclusion morphism."""
-    keep = frozenset(str(v) for v in part)
-    stray = keep - set(graph.vertices)
+    keep = frozenset(map(str, part))
+    stray = keep.difference(graph.vertices)
     if stray:
         raise ValueError(
             "part contains vertices outside the graph: " + ", ".join(sorted(stray))

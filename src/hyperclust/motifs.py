@@ -519,9 +519,11 @@ def motif_expansion(motifs, graph, budget=None):
     return Hypergraph._make(graph.vertices, dict(sorted(edges.items())))
 
 
+@functools.lru_cache(maxsize=1024)
 def _is_simplex(motif):
     # Its one distinct edge set holds every vertex: n members that include
-    # all n distinct vertices are exactly the vertex set.
+    # all n distinct vertices are exactly the vertex set.  Memoised, as the
+    # E* family hands the same simplices to every graph a check sweeps.
     sets = motif.edge_sets()
     if len(sets) != 1:
         return False
@@ -540,6 +542,10 @@ def expansion_edge_sets(motifs, graph):
     of size n.  Those are added directly, for every such size in one pass
     over the graph's edge sets, with no search.  Every other motif goes
     through :func:`enumerate_embeddings`.
+
+    When the simplices cover every edge size of the graph and no other
+    motif has an image, the answer is the graph's own :meth:`edge_sets`,
+    returned as it is (the ``E*`` family always covers every size).
     """
     cooked = _check_motifs(motifs)
     sizes = set()
@@ -551,7 +557,10 @@ def expansion_edge_sets(motifs, graph):
         for emb in enumerate_embeddings(motif, graph):
             sets.add(frozenset(emb.map.values()))
     if sizes:
-        sets.update(s for s in graph.edge_sets() if len(s) in sizes)
+        edge_sets = graph.edge_sets()
+        if not sets and sizes.issuperset(map(len, edge_sets)):
+            return edge_sets
+        sets.update(s for s in edge_sets if len(s) in sizes)
     return frozenset(sets)
 
 

@@ -67,10 +67,12 @@ class PartitionedSet:
     def sorted_parts(self):
         """Parts as sorted tuples, ordered lexicographically; set elements
         compare by their members, as frozensets compare by inclusion."""
-        parts = [tuple(sorted(p, key=_element_key)) for p in self.parts]
-        if self.elements and isinstance(self.elements[0], frozenset):
+        # Set elements sort after names, so the last element shows whether
+        # any is present; names alone sort as plain strings.
+        if self.elements and isinstance(self.elements[-1], frozenset):
+            parts = [tuple(sorted(p, key=_element_key)) for p in self.parts]
             return sorted(parts, key=lambda part: tuple(map(_element_key, part)))
-        return sorted(parts)
+        return sorted(map(tuple, map(sorted, self.parts)))
 
     def __eq__(self, other):
         if not isinstance(other, PartitionedSet):

@@ -54,6 +54,9 @@ class MotifScheme:
     min_overlap: object
 
     def __post_init__(self):
+        # A list of motifs would make the frozen dataclass unhashable, and
+        # the check battery keys its cluster cache by scheme.
+        object.__setattr__(self, "motifs", tuple(self.motifs))
         check_threshold(self.min_overlap)
         for m in self.motifs:
             if not isinstance(m, Hypergraph) and m not in (
@@ -101,8 +104,8 @@ def materialize_motifs(entries, graph):
     out = []
     for entry in entries:
         if entry == SPANNING_FAMILY:
-            top = max((len(s) for s in graph.edges.values()), default=0)
-            out.extend(simplex(n) for n in range(1, top + 1))
+            top = max(map(len, graph.edge_sets()), default=0)
+            out.extend(map(simplex, range(1, top + 1)))
         elif entry == TAILED_TRIANGLE_FAMILY:
             for i in range(len(graph.vertices) - 2):
                 motif = triangle_with_tail(i)

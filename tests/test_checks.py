@@ -609,6 +609,23 @@ class TestAxiomChecks:
         report = check_refines(scheme, scheme, small_corpus)
         assert report.passed
 
+    def test_list_built_schemes_check_as_tuple_built_ones(self, small_corpus):
+        # The cluster cache keys by scheme, so a scheme must hash whatever
+        # sequence its motifs came in.
+        k3 = build_named("K_3")
+        listed = [MotifScheme(["E*"], 2), MotifScheme([k3, "E*"], 1)]
+        tupled = [MotifScheme(("E*",), 2), MotifScheme((k3, "E*"), 1)]
+        for left, right in zip(listed, tupled):
+            assert (
+                check_excisive(left, small_corpus).to_json()
+                == check_excisive(right, small_corpus).to_json()
+            )
+        assert (
+            check_refines(*listed, small_corpus).to_json()
+            == check_refines(*tupled, small_corpus).to_json()
+        )
+        assert listed == tupled
+
     def test_tighter_overlap_does_not_refine_on_larger_corpora(self, corpus):
         report = check_refines(
             MotifScheme((simplex(3),), 2),

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperclust import checks
+from hyperclust import checks, cli
 from hyperclust.cli import (
     build_parser,
     fit_count_slope,
@@ -34,6 +35,7 @@ from hyperclust.schemes import (
     MotifScheme,
     SharedEdgeScheme,
     ToyScheme,
+    cluster,
     scheme_to_json,
 )
 
@@ -1042,3 +1044,112 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["parts"] == [["v1", "v2"]]
+
+
+# One command line per way out of main: exit 0, exit 1, exit 2 on a bad
+# scheme, and an exception no handler catches (see raising_cluster).
+EXITS = {
+    "passes": (("check", "excisive", *E_STAR_2, *SMALL), 0),
+    "fails": (("check", "excisive", "--scheme", "toy:noprops", *SMALL), 1),
+    "bad-scheme": (("cluster", "K_3", "--scheme", "representable:{Q_9},k=1"), 2),
+    "raises": (("cluster", "K_3", "--scheme", "classic"), RuntimeError),
+}
+
+
+def raising_cluster(args):
+    raise RuntimeError("a handler that fails")
+
+
+def exit_of(capsys, monkeypatch, name):
+    """Run one of EXITS; returns its exit code, or the exception's type."""
+    argv, _ = EXITS[name]
+    if name == "raises":
+        monkeypatch.setattr(cli, "run_cluster", raising_cluster)
+    try:
+        code = main(list(argv))
+    except RuntimeError as exc:
+        code = type(exc)
+    capsys.readouterr()
+    return code
+
+
+class SwitchOnly:
+    """Stands in for the gc module and offers only the on/off switch, so
+    any other collector call from main raises AttributeError."""
+
+    def __init__(self):
+        self.calls = []
+
+    def isenabled(self):
+        self.calls.append("isenabled")
+        return gc.isenabled()
+
+    def disable(self):
+        self.calls.append("disable")
+        gc.disable()
+
+    def enable(self):
+        self.calls.append("enable")
+        gc.enable()
+
+
+class TestCollectorPolicy:
+    @pytest.mark.parametrize("name", EXITS)
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    def test_main_restores_the_callers_policy(self, capsys, monkeypatch, name, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = exit_of(capsys, monkeypatch, name)
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert code == EXITS[name][1]
+        assert after is enabled
+
+    def test_the_handler_runs_with_the_collector_off(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_cluster", lambda args: seen.append(gc.isenabled()) or 0)
+        assert main(["cluster", "K_3", "--scheme", "classic"]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("name", EXITS)
+    def test_main_only_switches_the_collector(self, capsys, monkeypatch, name):
+        switch = SwitchOnly()
+        monkeypatch.setattr(cli, "gc", switch)
+        assert gc.isenabled()
+        assert exit_of(capsys, monkeypatch, name) == EXITS[name][1]
+        assert switch.calls == ["isenabled", "disable", "enable"]
+
+    def test_library_calls_leave_the_collector_alone(self, monkeypatch, small_corpus):
+        def refuse(*args):
+            raise AssertionError("a library call changed the collector")
+
+        for name in ("disable", "enable", "freeze", "collect", "set_threshold"):
+            monkeypatch.setattr(gc, name, refuse)
+        scheme = MotifScheme(("E*",), 2)
+        assert cluster(scheme, build_named("H_6")).parts
+        assert checks.check_excisive(scheme, small_corpus).passed
+
+    @pytest.mark.parametrize("default", [False, True], ids=["small-corpus", "default-corpus"])
+    def test_one_check_leaves_little_cyclic_garbage(
+        self, capsys, monkeypatch, request, default
+    ):
+        # Collected afterwards, the cycles one command leaves are argparse's,
+        # a few hundred objects whatever the corpus size.
+        bounds = [] if default else SMALL
+        if default:
+            monkeypatch.setenv("HYPERCLUST_CACHE_DIR", request.getfixturevalue("corpus_cache_dir"))
+            request.getfixturevalue("corpus")
+        # The first run fills the corpus cache, so the counted run is warm.
+        main(["check", "excisive", *E_STAR_2, *bounds])
+        capsys.readouterr()
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(["check", "excisive", *E_STAR_2, *bounds])
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["statistics"]["graphs"] > (1000 if default else 10)
+        assert garbage < 2000

@@ -33,7 +33,7 @@ from hyperclust.motifs import (
     expansion_edge_sets,
     motif_expansion,
 )
-from hyperclust.schemes import MotifScheme, SharedEdgeScheme, cluster
+from hyperclust.schemes import MotifScheme, SharedEdgeScheme, cluster, materialize_motifs
 
 import oracles
 from oracles import disjoint_union, expansion_provenance
@@ -101,6 +101,31 @@ def embedding_images(motif_list, graph):
         for motif in motif_list
         for emb in enumerate_embeddings(motif, graph)
     }
+
+
+# Motif lists, per graph, on which expansion_edge_sets may return the graph's
+# own edge sets (every size covered by a simplex) or must filter them.
+SWEEP_MOTIF_LISTS = {
+    "E*": lambda g: materialize_motifs(("E*",), g),
+    "E* without its largest": lambda g: materialize_motifs(("E*",), g)[:-1],
+    "E*, K_3 and P_3": lambda g: materialize_motifs(("E*", complete_graph(3), path(3)), g),
+}
+
+
+def plain_expansion_sets(motif_list, graph):
+    """The graph's edge sets of a simplex size, filtered one by one, plus
+    the naive images of every other motif."""
+    def is_simplex(motif):
+        return motif.edge_sets() == {frozenset(motif.vertices)}
+
+    sizes = {len(m.vertices) for m in motif_list if is_simplex(m)}
+    found = {s for s in graph.edge_sets() if len(s) in sizes}
+    for motif in motif_list:
+        if not is_simplex(motif):
+            found.update(
+                frozenset(m.values()) for m in oracles.naive_embeddings(motif, graph)
+            )
+    return found
 
 
 def group_size(plan):
@@ -662,6 +687,24 @@ class TestExpansion:
             for k in (1, 2):
                 parts = cluster(MotifScheme(("E*",), k), g).parts
                 assert parts == oracles.naive_overlap_parts(g, k)
+
+    @pytest.mark.parametrize("name", SWEEP_MOTIF_LISTS)
+    def test_sweep_shortcut_matches_the_plain_filter_on_the_corpus(self, corpus, name):
+        for g in corpus.graphs:
+            motif_list = SWEEP_MOTIF_LISTS[name](g)
+            assert expansion_edge_sets(motif_list, g) == plain_expansion_sets(motif_list, g)
+
+    @given(st.sampled_from(sorted(SWEEP_MOTIF_LISTS)), hypergraphs(max_vertices=6, max_edges=6))
+    @settings(max_examples=120, deadline=None)
+    def test_sweep_shortcut_matches_the_plain_filter_anywhere(self, name, g):
+        motif_list = SWEEP_MOTIF_LISTS[name](g)
+        assert expansion_edge_sets(motif_list, g) == plain_expansion_sets(motif_list, g)
+
+    def test_spanning_family_hands_back_the_graphs_edge_sets(self):
+        g = Hypergraph("abcde", {"e1": "ab", "e2": "ab", "e3": "bcd", "e4": "e"})
+        assert expansion_edge_sets(materialize_motifs(("E*",), g), g) is g.edge_sets()
+        uncovered = expansion_edge_sets([simplex(1), simplex(3)], g)
+        assert uncovered == {frozenset("bcd"), frozenset("e")}
 
     def test_single_edge_family_recovers_edge_sets(self):
         # expanding along one all-vertex edge of every present size keeps

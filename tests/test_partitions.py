@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import hyperclust
 from hyperclust.partitions import (
     PartitionMorphism,
+    _element_key,
     PartitionedSet,
     clustering_to_json,
     is_non_overlapping,
@@ -48,10 +49,29 @@ class TestPartitionedSet:
         p = PartitionedSet("abc", [{"c"}, {"a", "b"}, {"b", "c"}])
         assert p.sorted_parts() == [("a", "b"), ("b", "c"), ("c",)]
 
+    @given(
+        st.lists(st.text(max_size=3), max_size=8).flatmap(
+            lambda names: st.tuples(
+                st.just(names),
+                st.lists(st.sets(st.sampled_from(names)) if names else st.just(set())),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_vertex_name_part_order_is_the_element_key_order(self, drawn):
+        names, parts = drawn
+        p = PartitionedSet(names, parts)
+        keyed = sorted(tuple(sorted(part, key=_element_key)) for part in p.parts)
+        assert p.sorted_parts() == keyed
+
     def test_set_valued_elements(self):
         p = PartitionedSet([{"a", "b"}, {"b", "c"}], [[{"a", "b"}]])
         assert frozenset({"a", "b"}) in p.elements
         assert p.sorted_parts() == [(frozenset({"a", "b"}),)]
+
+    def test_names_and_set_elements_in_one_set_still_sort(self):
+        p = PartitionedSet(["a", {"b"}], [["a", {"b"}], ["a"]])
+        assert p.sorted_parts() == [("a",), ("a", frozenset({"b"}))]
 
     def test_set_valued_part_order_ignores_the_hash_seed(self):
         # Four pairwise incomparable frozensets: sorting them as frozensets
