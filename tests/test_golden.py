@@ -7,7 +7,8 @@ examples run at the default corpus bounds; the hull grid runs `hull` and
 sweeps and two functorial sweeps at the default bounds.  The commands built
 on overlap components follow: `linegraph`, with the DOT drawing it writes
 recorded as well, `cluster` under the classic and toy component rules,
-`search` and `witness`.
+`search` and `witness`.  Last come schemes that mix the spanning family
+`E*` with other motif entries.
 
 Re-record only when a change to the output is intended, and say so:
 
@@ -95,7 +96,19 @@ COMPONENTS = (
     ("witness", "--motifs", "{R_0,R_1,R_2}"),
 )
 
-CASES = README_CHECKS + HULL_GRID + SWEEPS + FUNCTORIAL + COMPONENTS
+# The spanning family E* alone and next to other entries: cluster on three
+# builtin graphs, then a passing excisive sweep and a failing refines sweep
+# at small bounds.
+SPANNING = (
+    ("cluster", "H_6", "--scheme", "representable:{E*},k=2"),
+    ("cluster", "corner", "--scheme", "representable:{E*,K_3},k=1"),
+    ("cluster", "R_3", "--scheme", "representable:{E*,R*},k=2"),
+    ("check", "excisive", "--scheme", "representable:{E*,K_3},k=2", *SMALL),
+    ("check", "refines", "--scheme", "representable:{E*,R*},k=2",
+     "--scheme2", "representable:{E*},k=1", *SMALL),
+)
+
+CASES = README_CHECKS + HULL_GRID + SWEEPS + FUNCTORIAL + COMPONENTS + SPANNING
 
 
 def _run(argv):
