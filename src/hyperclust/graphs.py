@@ -586,8 +586,8 @@ def canonical_key(graph):
 def simplex(n):
     """One edge covering the whole vertex set v1..vn.
 
-    Built once per n: hypergraphs are immutable, and the ``E*`` family asks
-    for the same simplices for every graph it clusters.
+    Built once per n: hypergraphs are immutable, so every caller shares one
+    object and the search plan kept on it.
     """
     if n < 1:
         raise ValueError("simplex needs at least one vertex")

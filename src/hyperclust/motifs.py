@@ -96,10 +96,9 @@ def _plan(motif):
     This slot is the only plan cache.  A scheme holds its motifs for as
     long as it clusters, so however many motifs it has, each plan is built
     once and never evicted.  The family members a scheme materialises for
-    every graph, such as the tailed triangles of ``R*`` and the simplices of
-    ``E*``, are built once per size (see
-    :func:`~hyperclust.graphs.triangle_with_tail`), so each graph reuses the
-    same motif objects and their plans.
+    every graph, the tailed triangles of ``R*``, are built once per size
+    (see :func:`~hyperclust.graphs.triangle_with_tail`), so each graph
+    reuses the same motif objects and their plans.
     """
     plan = motif._plan
     if plan is None:
@@ -519,11 +518,9 @@ def motif_expansion(motifs, graph, budget=None):
     return Hypergraph._make(graph.vertices, dict(sorted(edges.items())))
 
 
-@functools.lru_cache(maxsize=1024)
 def _is_simplex(motif):
     # Its one distinct edge set holds every vertex: n members that include
-    # all n distinct vertices are exactly the vertex set.  Memoised, as the
-    # E* family hands the same simplices to every graph a check sweeps.
+    # all n distinct vertices are exactly the vertex set.
     sets = motif.edge_sets()
     if len(sets) != 1:
         return False
@@ -541,11 +538,9 @@ def expansion_edge_sets(motifs, graph):
     n! embeddings, so its images are exactly the graph's distinct edge sets
     of size n.  Those are added directly, for every such size in one pass
     over the graph's edge sets, with no search.  Every other motif goes
-    through :func:`enumerate_embeddings`.
-
-    When the simplices cover every edge size of the graph and no other
-    motif has an image, the answer is the graph's own :meth:`edge_sets`,
-    returned as it is (the ``E*`` family always covers every size).
+    through :func:`enumerate_embeddings`.  The ``E*`` family never reaches
+    this function: :func:`~hyperclust.schemes.cluster` takes its expansion
+    as the graph's own edge sets.
     """
     cooked = _check_motifs(motifs)
     sizes = set()
@@ -557,10 +552,7 @@ def expansion_edge_sets(motifs, graph):
         for emb in enumerate_embeddings(motif, graph):
             sets.add(frozenset(emb.map.values()))
     if sizes:
-        edge_sets = graph.edge_sets()
-        if not sets and sizes.issuperset(map(len, edge_sets)):
-            return edge_sets
-        sets.update(s for s in edge_sets if len(s) in sizes)
+        sets.update(s for s in graph.edge_sets() if len(s) in sizes)
     return frozenset(sets)
 
 

@@ -30,7 +30,6 @@ from .graphs import (
     edge_glued_chain,
     hypergraph_to_json,
     iso_check,
-    simplex,
     triangle_with_tail,
     valid_hypergraph_from_json,
 )
@@ -39,8 +38,9 @@ from .graphs import (
 from .motifs import _representatives, enumerate_embeddings, expansion_edge_sets  # noqa: F401
 from .partitions import PartitionedSet, remove_spurious
 
-# Family markers a MotifScheme may carry instead of concrete motifs; they
-# materialize against each input graph, truncated by what could embed at all.
+# Family markers a MotifScheme may carry instead of concrete motifs.  R*
+# materializes against each input graph, truncated by what could embed at
+# all; E* expands to the graph's own edge sets (see cluster).
 SPANNING_FAMILY = "E*"
 TAILED_TRIANGLE_FAMILY = "R*"
 
@@ -92,21 +92,20 @@ class ToyScheme:
 def materialize_motifs(entries, graph):
     """Resolve family markers against a concrete graph.
 
-    The one-edge family truncates to the largest edge size present (bigger
-    members cannot embed, since an edge image needs a target edge of exactly
-    its size).  The tailed-triangle family stops before its first member
-    with no embedding into ``graph``, found by a first-hit search: R_{i-1}
-    is R_i minus the last vertex of its tail, so restricting an embedding of
-    R_i gives an embedding of R_{i-1}, and once R_i has none, no longer
-    member has one either.  Members with more vertices than the graph are
-    never built.
+    The one-edge family ``E*`` resolves to no motif: its expansion is the
+    graph's own edge sets, which :func:`cluster` takes as they are, so no
+    simplex is built for it.  The tailed-triangle family stops before its
+    first member with no embedding into ``graph``, found by a first-hit
+    search: R_{i-1} is R_i minus the last vertex of its tail, so restricting
+    an embedding of R_i gives an embedding of R_{i-1}, and once R_i has
+    none, no longer member has one either.  Members with more vertices than
+    the graph are never built.
     """
     out = []
     for entry in entries:
         if entry == SPANNING_FAMILY:
-            top = max(map(len, graph.edge_sets()), default=0)
-            out.extend(map(simplex, range(1, top + 1)))
-        elif entry == TAILED_TRIANGLE_FAMILY:
+            continue
+        if entry == TAILED_TRIANGLE_FAMILY:
             for i in range(len(graph.vertices) - 2):
                 motif = triangle_with_tail(i)
                 if not _representatives(motif, graph, first=True):
@@ -287,6 +286,13 @@ def cluster(scheme, graph, expand=None):
     default :func:`~hyperclust.motifs.expansion_edge_sets`, so a caller can
     memoize them across schemes.
 
+    The spanning family ``E*`` is taken as ``graph.edge_sets()`` itself, with
+    no call to ``expand``.  That is exact: the images of ``E_n`` are exactly
+    the graph's distinct n-edges, and ``E*`` holds every size from 1 to the
+    largest edge, so its expansion is every distinct edge set.  The other
+    entries of the scheme, if any, are expanded by ``expand`` and their sets
+    joined to the edge sets.
+
     Motif, shared-edge and component parts are unions of the graph's own
     vertex sets, so they are assembled with ``PartitionedSet._make`` and not
     normalised again.  That holds for a graph whose edges name only its
@@ -294,9 +300,15 @@ def cluster(scheme, graph, expand=None):
     """
     if isinstance(scheme, MotifScheme):
         motifs = tuple(materialize_motifs(scheme.motifs, graph))
-        # Looked up at call time, so a wrapper installed on this module's
-        # expansion_edge_sets sees every default call.
-        sets = (expand or expansion_edge_sets)(motifs, graph)
+        spanning = SPANNING_FAMILY in scheme.motifs
+        if spanning and not motifs:
+            sets = graph.edge_sets()
+        else:
+            # Looked up at call time, so a wrapper installed on this module's
+            # expansion_edge_sets sees every default call.
+            sets = (expand or expansion_edge_sets)(motifs, graph)
+            if spanning:
+                sets = sets | graph.edge_sets()
         parts = component_member_unions(sets, scheme.min_overlap)
         return PartitionedSet._make(graph.vertices, frozenset(parts))
     if isinstance(scheme, SharedEdgeScheme):

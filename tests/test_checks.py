@@ -465,7 +465,8 @@ class TestClusterCache:
                 assert cache.parts(scheme, graph) == cluster(scheme, graph)
 
     def test_refines_expands_each_graph_once(self, small_corpus, monkeypatch):
-        # Both thresholds materialize the same E* motifs, so the second
+        # E* takes each graph's own edge sets and expands nothing.  Both
+        # thresholds of {K_3} expand along the same motifs, so the second
         # scheme must reuse the first one's expansion.
         calls = Counter()
         real = checks.expansion_edge_sets
@@ -477,6 +478,11 @@ class TestClusterCache:
         monkeypatch.setattr(checks, "expansion_edge_sets", counting)
         check_refines(
             MotifScheme(("E*",), 2), MotifScheme(("E*",), 1), small_corpus, ClusterCache()
+        )
+        assert not calls
+        triangle = complete_graph(3)
+        check_refines(
+            MotifScheme((triangle,), 2), MotifScheme((triangle,), 1), small_corpus, ClusterCache()
         )
         assert calls == Counter(small_corpus.graphs)
         assert set(calls.values()) == {1}
@@ -531,6 +537,40 @@ FUNCTORIAL_SCHEMES = (
 )
 
 
+def cluster_with_a_stray_vertex(scheme, graph, expand=None):
+    """A clustering whose one part has the graph's size but swaps its first
+    vertex for ``~``, a name outside the graph."""
+    if not graph.vertices:
+        return PartitionedSet((), ())
+    part = frozenset(graph.vertices[1:] + ("~",))
+    return PartitionedSet._make(graph.vertices, frozenset({part}))
+
+
+class TestSpanningFamilyOnTheDefaultCorpus:
+    """E* clusters as the explicit simplices E_1..E_4 do, alone and next to
+    K_3; the default corpus has edges of up to four vertices."""
+
+    SIMPLICES = tuple(simplex(n) for n in range(1, 5))
+
+    def test_the_simplices_cover_every_edge_size(self, corpus):
+        sizes = {len(s) for g in corpus.graphs for s in g.edge_sets()}
+        assert sizes == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("k", [1, 2, INFINITE], ids=["1", "2", "inf"])
+    def test_alone(self, corpus, k):
+        report = check_scheme_equal(
+            MotifScheme(("E*",), k), MotifScheme(self.SIMPLICES, k), corpus
+        )
+        assert report.passed and report.statistics["graphs"] == len(corpus.graphs)
+
+    def test_next_to_a_triangle(self, corpus):
+        triangle = complete_graph(3)
+        report = check_scheme_equal(
+            MotifScheme(("E*", triangle), 2), MotifScheme(self.SIMPLICES + (triangle,), 2), corpus
+        )
+        assert report.passed and report.statistics["graphs"] == len(corpus.graphs)
+
+
 class TestAxiomChecks:
     def test_excisive_passes_for_overlap_clustering(self, small_corpus):
         report = check_excisive(MotifScheme(("E*",), 2), small_corpus)
@@ -570,6 +610,34 @@ class TestAxiomChecks:
         assert check_excisive(scheme, small_corpus).to_json() == fresh
         assert len(built) == len(asked) == len({id(m) for m in built})
         assert asked and unshared > len(built)
+
+    @pytest.mark.parametrize("scheme, parts, restricted", [
+        (MotifScheme(("E*",), 2), 4088, 3644),
+        (MotifScheme((complete_graph(3),), 2), 174, 133),
+    ], ids=["E*", "K_3"])
+    def test_excisive_restricts_only_proper_parts(
+        self, corpus, monkeypatch, scheme, parts, restricted
+    ):
+        # A part holding every vertex is re-clustered as the graph itself;
+        # 444 of E*'s parts and 41 of K_3's are whole.
+        calls = []
+
+        def spy(graph, part):
+            calls.append(len(part) < len(graph.vertices))
+            return restrict(graph, part)
+
+        monkeypatch.setattr(checks, "restrict", spy)
+        report = check_excisive(scheme, corpus)
+        assert report.passed
+        assert report.statistics["parts_checked"] == parts
+        assert len(calls) == restricted and all(calls)
+
+    def test_excisive_refuses_a_whole_size_part_with_a_stray_vertex(
+        self, small_corpus, monkeypatch
+    ):
+        monkeypatch.setattr(checks, "cluster", cluster_with_a_stray_vertex)
+        with pytest.raises(ValueError, match="part contains vertices outside the graph: ~"):
+            check_excisive(MotifScheme(("E*",), 2), small_corpus)
 
     def test_excisive_failure_is_replayable(self, small_corpus):
         report = check_excisive(ToyScheme("noprops"), small_corpus)

@@ -39,7 +39,12 @@ from hyperclust.schemes import (
     scheme_to_json,
 )
 
-from test_checks import break_extended_expansion, gains_nothing, gains_on_edgeless_members
+from test_checks import (
+    break_extended_expansion,
+    cluster_with_a_stray_vertex,
+    gains_nothing,
+    gains_on_edgeless_members,
+)
 
 
 SMALL = [
@@ -456,6 +461,13 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "excisive", *SMALL)
         assert code == 2
         assert "--scheme" in err
+
+    def test_whole_size_part_with_a_stray_vertex_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "cluster", cluster_with_a_stray_vertex)
+        code, out, err = run_cli(capsys, "check", "excisive", *E_STAR_2, *SMALL)
+        assert code == 2
+        assert out == ""
+        assert "part contains vertices outside the graph: ~" in err
 
     def test_limit_truncates_counterexamples(self, capsys):
         code, out, _ = run_cli(

@@ -33,7 +33,8 @@ from hyperclust.motifs import (
     expansion_edge_sets,
     motif_expansion,
 )
-from hyperclust.schemes import MotifScheme, SharedEdgeScheme, cluster, materialize_motifs
+from hyperclust import schemes
+from hyperclust.schemes import MotifScheme, SharedEdgeScheme, cluster
 
 import oracles
 from oracles import disjoint_union, expansion_provenance
@@ -103,12 +104,19 @@ def embedding_images(motif_list, graph):
     }
 
 
-# Motif lists, per graph, on which expansion_edge_sets may return the graph's
-# own edge sets (every size covered by a simplex) or must filter them.
+def simplices_to_largest_edge(g):
+    """E_1 up to the graph's largest edge size: the simplices ``E*`` spans."""
+    top = max(map(len, g.edge_sets()), default=0)
+    return [simplex(n) for n in range(1, top + 1)]
+
+
+# Motif lists, per graph, on which expansion_edge_sets reads the simplex
+# sizes off the graph's edge sets: every size, every size but the largest,
+# and every size next to two motifs that are searched for.
 SWEEP_MOTIF_LISTS = {
-    "E*": lambda g: materialize_motifs(("E*",), g),
-    "E* without its largest": lambda g: materialize_motifs(("E*",), g)[:-1],
-    "E*, K_3 and P_3": lambda g: materialize_motifs(("E*", complete_graph(3), path(3)), g),
+    "E*": simplices_to_largest_edge,
+    "E* without its largest": lambda g: simplices_to_largest_edge(g)[:-1],
+    "E*, K_3 and P_3": lambda g: simplices_to_largest_edge(g) + [complete_graph(3), path(3)],
 }
 
 
@@ -700,9 +708,26 @@ class TestExpansion:
         motif_list = SWEEP_MOTIF_LISTS[name](g)
         assert expansion_edge_sets(motif_list, g) == plain_expansion_sets(motif_list, g)
 
-    def test_spanning_family_hands_back_the_graphs_edge_sets(self):
+    def test_spanning_family_hands_back_the_graphs_edge_sets(self, monkeypatch):
+        # cluster passes the graph's own edge sets on to the overlap
+        # components, the very object, and expands nothing for E*.
         g = Hypergraph("abcde", {"e1": "ab", "e2": "ab", "e3": "bcd", "e4": "e"})
-        assert expansion_edge_sets(materialize_motifs(("E*",), g), g) is g.edge_sets()
+        handed = []
+        real = schemes.component_member_unions
+
+        def spy(sets, min_overlap):
+            handed.append(sets)
+            return real(sets, min_overlap)
+
+        def refuse(motifs, graph):
+            raise AssertionError("E* went through expansion_edge_sets")
+
+        monkeypatch.setattr(schemes, "component_member_unions", spy)
+        monkeypatch.setattr(schemes, "expansion_edge_sets", refuse)
+        parts = cluster(MotifScheme(("E*",), 1), g).parts
+        assert handed == [g.edge_sets()] and handed[0] is g.edge_sets()
+        assert parts == oracles.naive_overlap_parts(g, 1)
+        # Explicit simplices keep only the edge sets of their sizes.
         uncovered = expansion_edge_sets([simplex(1), simplex(3)], g)
         assert uncovered == {frozenset("bcd"), frozenset("e")}
 

@@ -60,11 +60,16 @@ class TestMotifScheme:
         s = MotifScheme(("E*", "R*", complete_graph(2)), INFINITE)
         assert s.min_overlap == INFINITE
 
-    def test_spanning_family_truncates_to_largest_edge(self):
-        g = Hypergraph("abcd", {"e1": "ab", "e2": "bcd"})
-        got = materialize_motifs(("E*",), g)
-        assert got == [simplex(1), simplex(2), simplex(3)]
+    def test_spanning_family_materializes_to_no_motif(self):
+        # cluster takes E*'s expansion as the graph's own edge sets, so no
+        # simplex is built for it; the entries next to it resolve as alone.
+        g = Hypergraph("abcde", {"e1": "ab", "e2": "bc", "e3": "ac", "e4": "cd", "e5": "cde"})
+        assert materialize_motifs(("E*",), g) == []
         assert materialize_motifs(("E*",), Hypergraph("ab")) == []
+        triangle = complete_graph(3)
+        assert materialize_motifs(("E*", triangle), g) == [triangle]
+        assert materialize_motifs(("E*", "R*"), g) == materialize_motifs(("R*",), g)
+        assert materialize_motifs(("R*",), g) == [triangle_with_tail(0), triangle_with_tail(1)]
 
     def test_tailed_family_truncates_by_vertex_count(self):
         got = materialize_motifs(("R*",), complete_graph(5))
@@ -104,6 +109,15 @@ class TestRepresentableCluster:
         parts = cluster(MotifScheme(("E*",), k), g)
         assert parts.elements == g.vertices
         assert parts.parts == oracles.naive_overlap_parts(g, k)
+
+    @given(hypergraphs(), thresholds)
+    @settings(max_examples=60, deadline=None)
+    def test_spanning_family_next_to_a_motif_matches_the_naive_expansion(self, g, k):
+        # E*'s edge sets joined to K_3's images, found by brute force.
+        triangle = complete_graph(3)
+        images = {frozenset(m.values()) for m in oracles.naive_embeddings(triangle, g)}
+        parts = cluster(MotifScheme(("E*", triangle), k), g).parts
+        assert parts == oracles.naive_overlap_parts(g.edge_sets() | images, k)
 
     @given(simple_graphs())
     @settings(max_examples=60, deadline=None)
